@@ -136,16 +136,10 @@ def cmd_observability(args) -> int:
         report = estimator.estimate(state, args.rank_tol)
         last = report
         print(f"{state.k},{report.observable_rank},{report.noncausality_index}")
-    basis = _projector_basis(last.projector, last.observable_rank, args.rank_tol)
     print(f"observable subspace basis ({last.observable_rank} orthonormal columns):")
-    for row in basis:
+    for row in last.basis:
         print(",".join(format_number(v) for v in row))
     return EXIT_OK
-
-
-def _projector_basis(projector, rank, rank_tol):
-    u, s, _ = np.linalg.svd(projector)
-    return u[:, :rank]
 
 
 def cmd_compare(args) -> int:
@@ -162,8 +156,7 @@ def cmd_compare(args) -> int:
         kstates = kalman.run_kalman(model, ys, args.rank_tol)
         print("k,state_discrepancy")
         for state, kstate in zip(states, kstates):
-            xhat = pinv(state.P, args.rank_tol) @ state.r
-            disc = float(np.linalg.norm(xhat - kstate.x))
+            disc = float(np.linalg.norm(estimator.estimate(state, args.rank_tol).xhat - kstate.x))
             worst = max(worst, disc)
             print(f"{state.k},{format_number(disc)}")
     else:

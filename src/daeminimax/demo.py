@@ -19,9 +19,10 @@ budget.  Consequences the tests pin down exactly:
 * the measured coordinate keeps finite guaranteed bounds whose midpoint
   equals the estimate exactly, at every step.
 
-The information matrix's spurious second singular value sits at roundoff
-level right next to the default rank cutoff, so rank decisions on this
-model use the explicit RANK_TOL below to stay deterministic.
+The information matrix carries a spurious second eigenvalue at roundoff
+level (1.1e-15 of the largest at k = 1), just above the default rank
+cutoff (4 eps), left by assembling P_k from the transported term; so
+rank decisions on this model use the explicit RANK_TOL below.
 
 The output weight schedule k / (k + 1) vanishes at k = 0, which would
 violate positive definiteness, so the k = 0 weight is floored at machine

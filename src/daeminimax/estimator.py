@@ -21,6 +21,12 @@ and n - rank(P_k) counts the unobservable directions (the noncausality
 index: it is zero exactly when the model behaves like a causal filtering
 problem).
 
+Each state also stores the kept eigenpairs (V_r, lam_r) of P_k, from the
+one eigendecomposition per step that checks and cleans P_k, and every
+query reads them: xhat = V_r (V_r' r / lam_r), rank = len(lam_r),
+projector V_r V_r'.  Each step factors S_k as W'W by Cholesky instead of
+taking its symmetric square root.
+
 A negative beta_k (below -BETA_TOL) certifies that no trajectory within
 the unit budget explains the data; it is reported, never clamped.
 """
@@ -38,7 +44,7 @@ from .errors import (
     NumericalBreakdown,
     OutsideObservable,
 )
-from .linalg import EPS, as_vector, pinv, qform, range_projector, sym_rank, sym_sqrt, symmetrize
+from .linalg import EPS, as_vector, qform, relative_cutoff, symmetrize
 from .model import DescriptorModel
 
 __all__ = [
@@ -68,57 +74,72 @@ PSD_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FilterState:
-    """Sufficient statistic (P_k, r_k, alpha_k) after step k."""
+    """Sufficient statistic (P_k, r_k, alpha_k) after step k.
+
+    ``V`` and ``lam`` are the kept eigenpairs of P_k, so that
+    P = V diag(lam) V' up to roundoff; every set query reads them.
+    """
 
     k: int
     P: np.ndarray
     r: np.ndarray
     alpha: float
+    V: np.ndarray
+    lam: np.ndarray
 
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Central estimate and the shape of the informational set at one step."""
+    """Central estimate and the shape of the informational set at one step;
+    ``basis`` has orthonormal columns spanning range(P_k)."""
 
     xhat: np.ndarray
     beta: float
-    projector: np.ndarray
+    basis: np.ndarray
     observable_rank: int
     noncausality_index: int
     consistent: bool
 
+    @property
+    def projector(self) -> np.ndarray:
+        """Orthogonal projector onto range(P_k); the exact identity at full rank."""
+        n = self.basis.shape[0]
+        return np.eye(n) if self.observable_rank == n else self.basis @ self.basis.T
 
-def _check_psd(P: np.ndarray, k: int) -> None:
-    eigs = np.linalg.eigvalsh(P)
-    if float(eigs[0]) < -PSD_TOL * max(1.0, float(eigs[-1])):
+
+def _factored(k: int, P: np.ndarray, r: np.ndarray, alpha: float, rank_tol: float) -> FilterState:
+    """Filter state with the kept eigenpairs of P, from one eigh of P.
+
+    Eigenvalues below -PSD_TOL (relative to the spectral radius) abort;
+    those at or below the shared cutoff become exact zeros.  Leaving such
+    roundoff-scale eigenvalues in P would let the next step's
+    pseudoinverse keep a junk direction of B = P + C'SC and amplify it by
+    its reciprocal, which can destroy positive semidefiniteness; at exact
+    zero a kept junk direction satisfies the exact Rayleigh bound
+    u'C'SCu <= lambda, so its contribution stays O(eps).
+    """
+    eigs, vecs = np.linalg.eigh(P)
+    top = max(float(eigs[-1]), 0.0)
+    if float(eigs[0]) < -PSD_TOL * max(1.0, top):
         raise NumericalBreakdown(
             f"step {k}: P lost positive semidefiniteness (min eigenvalue {eigs[0]:.3e})"
         )
+    keep = eigs > relative_cutoff(rank_tol, P.shape) * top
+    V, lam = vecs[:, keep], eigs[keep]
+    if not bool(np.all(keep)):
+        P = (V * lam) @ V.T
+        P = 0.5 * (P + P.T)
+    return FilterState(k=k, P=P, r=r, alpha=float(alpha), V=V, lam=lam)
 
 
-def _repair_psd(P: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Zero out eigenvalues the shared cutoff already treats as zero.
-
-    Every rank decision downstream truncates the spectrum below
-    cutoff * lambda_max; leaving roundoff-scale (possibly negative)
-    eigenvalues inside P lets the next step's pseudoinverse keep a junk
-    direction of B = P + C'SC and amplify it by its reciprocal, which
-    can destroy positive semidefiniteness outright.  Clipping that band
-    to exact zero keeps P, its pseudoinverse, rank and projector
-    consistent with the cutoff policy and makes the amplification
-    harmless (a kept junk direction then satisfies the exact Rayleigh
-    bound u'C'SCu <= lambda, so its contribution stays O(eps)).
-    """
-    eigs, vecs = np.linalg.eigh(P)
-    top = float(eigs[-1])
-    if top <= 0.0:
-        return np.zeros_like(P)
-    scale = rank_tol if rank_tol > 0.0 else EPS * max(P.shape)
-    keep = eigs > scale * top
-    if bool(np.all(keep)):
-        return P
-    cleaned = (vecs[:, keep] * eigs[keep]) @ vecs[:, keep].T
-    return 0.5 * (cleaned + cleaned.T)
+def _weight_factor(S: np.ndarray) -> np.ndarray:
+    """W with W'W = S: the transposed Cholesky factor, or, for a weight
+    that is not numerically definite, diag(sqrt(clipped eigenvalues)) V'."""
+    try:
+        return np.linalg.cholesky(S).T
+    except np.linalg.LinAlgError:
+        eigs, vecs = np.linalg.eigh(S)
+        return np.sqrt(np.clip(eigs, 0.0, None))[:, None] * vecs.T
 
 
 def _measurement(model: DescriptorModel, y, k: int) -> np.ndarray:
@@ -128,7 +149,7 @@ def _measurement(model: DescriptorModel, y, k: int) -> np.ndarray:
     return vec
 
 
-def init(model: DescriptorModel, y0) -> FilterState:
+def init(model: DescriptorModel, y0, rank_tol: float = 0.0) -> FilterState:
     """State of the recursion after absorbing the k = 0 data.
 
     P_0 = F_0' S_0 F_0 + H_0' R_0 H_0,  r_0 = H_0' R_0 y_0,
@@ -137,9 +158,7 @@ def init(model: DescriptorModel, y0) -> FilterState:
     y0 = _measurement(model, y0, 0)
     F0, H0, S0, R0 = model.F[0], model.H[0], model.S[0], model.R[0]
     P0 = symmetrize(F0.T @ S0 @ F0 + H0.T @ R0 @ H0)
-    _check_psd(P0, 0)
-    P0 = _repair_psd(P0, 0.0)
-    return FilterState(k=0, P=P0, r=H0.T @ (R0 @ y0), alpha=qform(R0, y0))
+    return _factored(0, P0, H0.T @ (R0 @ y0), qform(R0, y0), rank_tol)
 
 
 def step(state: FilterState, model: DescriptorModel, y, rank_tol: float = 0.0) -> FilterState:
@@ -159,30 +178,30 @@ def step(state: FilterState, model: DescriptorModel, y, rank_tol: float = 0.0) -
     expanding pinv(B) between two copies of C'S suffers catastrophic
     cancellation once B carries a small kept eigenvalue lambda (the error
     scales with eps/lambda, which reached 1e-2 on hard random models).
-    Instead, with W = sqrt(S), G = W C and B = P + G'G eigendecomposed as
-    V diag(lambda) V', let K = G V_r diag(lambda_r^{-1/2}).  Every column
-    of K has exact norm at most 1 because lambda = v'Pv + |Gv|^2, so
+    Instead, with W'W = S (W the transposed Cholesky factor), G = W C and
+    B = P + G'G eigendecomposed as V diag(lambda) V', let
+    K = G V_r diag(lambda_r^{-1/2}).  Every column of K has exact norm at
+    most 1 because lambda = v'Pv + |Gv|^2, so
 
-        S - S C pinv(B) C' S  =  W (I - K K') W
+        S - S C pinv(B) C' S  =  W' (I - K K') W
 
     is evaluated from quantities of unit scale (error eps/sqrt(lambda))
     and I - K K', whose exact spectrum lies in [0, 1], is clipped back
-    into that interval before use.  P_k is symmetrized, checked and has
-    sub-cutoff eigenvalues cleared every step.
+    into that interval before use.  One eigendecomposition of P_k then
+    checks it, clears its sub-cutoff eigenvalues and gives its eigenpairs.
     """
     k = state.k + 1
     if k > model.tau:
         raise DimensionMismatch(f"step {k} is beyond the model horizon {model.tau}")
     y = _measurement(model, y, k)
-    F, H, S, R = model.F[k], model.H[k], model.S[k], model.R[k]
+    F, H, R = model.F[k], model.H[k], model.R[k]
     C = model.C[k - 1]
 
-    W = sym_sqrt(S)
+    W = _weight_factor(model.S[k])
     G = W @ C
     B = symmetrize(state.P + G.T @ G)
     eigs, vecs = np.linalg.eigh(B)
-    scale = rank_tol if rank_tol > 0.0 else EPS * max(B.shape)
-    keep = eigs > scale * max(float(eigs[-1]), 0.0)
+    keep = eigs > relative_cutoff(rank_tol, B.shape) * max(float(eigs[-1]), 0.0)
     V = vecs[:, keep]
     lam = eigs[keep]
     K = G @ (V / np.sqrt(lam))
@@ -190,14 +209,13 @@ def step(state: FilterState, model: DescriptorModel, y, rank_tol: float = 0.0) -
     M = symmetrize(np.eye(K.shape[0]) - K @ K.T)
     me, mv = np.linalg.eigh(M)
     M = (mv * np.clip(me, 0.0, 1.0)) @ mv.T
-    P = symmetrize(H.T @ R @ H + F.T @ (W @ M @ W) @ F)
-    _check_psd(P, k)
-    P = _repair_psd(P, rank_tol)
+    WF = W @ F
+    P = symmetrize(H.T @ R @ H + WF.T @ M @ WF)
 
     w = V.T @ state.r  # coordinates of r_{k-1} in the kept eigenbasis of B
-    r = F.T @ (W @ (K @ (w / np.sqrt(lam)))) + H.T @ (R @ y)
+    r = WF.T @ (K @ (w / np.sqrt(lam))) + H.T @ (R @ y)
     alpha = state.alpha + qform(R, y) - float(w @ (w / lam))
-    return FilterState(k=k, P=P, r=r, alpha=float(alpha))
+    return _factored(k, P, r, alpha, rank_tol)
 
 
 def run(model: DescriptorModel, ys, rank_tol: float = 0.0) -> list:
@@ -209,10 +227,25 @@ def run(model: DescriptorModel, ys, rank_tol: float = 0.0) -> list:
         raise DimensionMismatch(
             f"measurements: got shape {ys.shape}, expected {(model.tau + 1, model.p)}"
         )
-    states = [init(model, ys[0])]
+    states = [init(model, ys[0], rank_tol)]
     for k in range(1, model.tau + 1):
         states.append(step(states[-1], model, ys[k], rank_tol))
     return states
+
+
+def _solution(state: FilterState, rank_tol: float):
+    """Kept eigenpairs under the query cutoff, with xhat and beta.
+
+    The state already holds P's eigenpairs above the run's cutoff; a
+    stricter query cutoff drops more of them through the same rule.
+    xhat = V (V'r / lam) and beta = 1 - alpha + |V'r / sqrt(lam)|^2.
+    """
+    V, lam = state.V, state.lam
+    if lam.size:
+        keep = lam > relative_cutoff(rank_tol, state.P.shape) * float(lam[-1])
+        V, lam = V[:, keep], lam[keep]
+    u = (V.T @ state.r) / np.sqrt(lam)
+    return V, lam, V @ (u / np.sqrt(lam)), 1.0 - state.alpha + float(u @ u)
 
 
 def estimate(state: FilterState, rank_tol: float = 0.0) -> EstimateReport:
@@ -223,24 +256,25 @@ def estimate(state: FilterState, rank_tol: float = 0.0) -> EstimateReport:
     falls below -BETA_TOL, meaning no trajectory within the unit budget
     can produce the processed measurements.
     """
-    P = state.P
-    xhat = pinv(P, rank_tol) @ state.r
-    beta = 1.0 - state.alpha + qform(P, xhat)
-    rank = sym_rank(P, rank_tol)
+    V, lam, xhat, beta = _solution(state, rank_tol)
     return EstimateReport(
         xhat=xhat,
-        beta=float(beta),
-        projector=range_projector(P, rank_tol),
-        observable_rank=rank,
-        noncausality_index=P.shape[0] - rank,
+        beta=beta,
+        basis=V,
+        observable_rank=lam.size,
+        noncausality_index=state.P.shape[0] - lam.size,
         consistent=beta >= -BETA_TOL,
     )
 
 
-def _direction_tol(ell: np.ndarray, shape, rank_tol: float) -> float:
-    rel = rank_tol if rank_tol > 0 else EPS * max(shape)
-    # Floor at a few eps: the projector itself carries that much roundoff.
-    return max(rel, 8.0 * EPS) * float(np.linalg.norm(ell))
+def _consistent_solution(state: FilterState, vec, name: str, rank_tol: float):
+    vec = as_vector(vec, name)
+    if vec.shape != state.r.shape:
+        raise DimensionMismatch(f"{name}: got shape {vec.shape}, expected {state.r.shape}")
+    V, lam, xhat, beta = _solution(state, rank_tol)
+    if beta < -BETA_TOL:
+        raise InconsistentData(f"beta = {beta:.3e} below -{BETA_TOL:g}")
+    return vec, V, lam, xhat, beta
 
 
 def ell_error(state: FilterState, ell, rank_tol: float = 0.0) -> float:
@@ -256,19 +290,13 @@ def ell_error(state: FilterState, ell, rank_tol: float = 0.0) -> float:
         If beta < -BETA_TOL, since no error radius exists for data that
         violates the budget.
     """
-    ell = as_vector(ell, "ell")
-    if ell.shape != state.r.shape:
-        raise DimensionMismatch(f"ell: got shape {ell.shape}, expected {state.r.shape}")
-    P = state.P
-    Pp = pinv(P, rank_tol)
-    xhat = Pp @ state.r
-    beta = 1.0 - state.alpha + qform(P, xhat)
-    if beta < -BETA_TOL:
-        raise InconsistentData(f"beta = {beta:.3e} below -{BETA_TOL:g}")
-    proj = range_projector(P, rank_tol)
-    if float(np.linalg.norm(proj @ ell - ell)) > _direction_tol(ell, P.shape, rank_tol):
+    ell, V, lam, _, beta = _consistent_solution(state, ell, "ell", rank_tol)
+    # Outside range(P) beyond the cutoff, floored at the projection's own roundoff.
+    tol = max(relative_cutoff(rank_tol, ell.shape), 8.0 * EPS) * float(np.linalg.norm(ell))
+    c = V.T @ ell
+    if lam.size < ell.size and float(np.linalg.norm(ell - V @ c)) > tol:
         return inf
-    return sqrt(max(float(beta), 0.0) * max(float(ell @ (Pp @ ell)), 0.0))
+    return sqrt(max(beta, 0.0) * float(c @ (c / lam)))
 
 
 def direction_bounds(state: FilterState, ell, rank_tol: float = 0.0):
@@ -288,7 +316,7 @@ def direction_bounds(state: FilterState, ell, rank_tol: float = 0.0):
     radius = ell_error(state, ell, rank_tol)
     if radius == inf:
         raise OutsideObservable("direction outside the observable subspace")
-    center = float(ell @ (pinv(state.P, rank_tol) @ state.r))
+    center = float(ell @ _solution(state, rank_tol)[2])
     return center - radius, center + radius
 
 
@@ -298,12 +326,6 @@ def membership(state: FilterState, x, rank_tol: float = 0.0) -> bool:
     Tests <P (x - xhat), x - xhat> <= beta + MEMBERSHIP_SLACK; directions
     in the null space of P are unconstrained, as in X(k) itself.
     """
-    x = as_vector(x, "x")
-    if x.shape != state.r.shape:
-        raise DimensionMismatch(f"x: got shape {x.shape}, expected {state.r.shape}")
-    P = state.P
-    xhat = pinv(P, rank_tol) @ state.r
-    beta = 1.0 - state.alpha + qform(P, xhat)
-    if beta < -BETA_TOL:
-        raise InconsistentData(f"beta = {beta:.3e} below -{BETA_TOL:g}")
-    return qform(P, x - xhat) <= beta + MEMBERSHIP_SLACK
+    x, V, lam, xhat, beta = _consistent_solution(state, x, "x", rank_tol)
+    c = V.T @ (x - xhat)
+    return float(c @ (lam * c)) <= beta + MEMBERSHIP_SLACK

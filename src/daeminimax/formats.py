@@ -224,7 +224,7 @@ def measurement_rows(path, model: DescriptorModel) -> np.ndarray:
     Accepts either a plain measurement table (columns k, y0..y{p-1}) or a
     full trajectory table; columns are matched by name, falling back to
     "the p columns after k" when no y-columns are named.  Rows must cover
-    k = 0..tau exactly.
+    k = 0..tau exactly, with integral k and finite measurements.
     """
     header, rows = read_table(path)
     if "k" not in header:
@@ -249,9 +249,15 @@ def measurement_rows(path, model: DescriptorModel) -> np.ndarray:
     ys = np.zeros((want, model.p))
     seen = set()
     for row in rows:
+        if len(row) != len(header):
+            raise ParseError(f"{path}: a row has {len(row)} cells, header has {len(header)}")
+        if not row[k_col].is_integer():
+            raise ParseError(f"{path}: step index {row[k_col]!r} is not an integer")
         k = int(row[k_col])
         if not 0 <= k < want or k in seen:
             raise ParseError(f"{path}: step index {k} outside 0..{model.tau} or repeated")
         seen.add(k)
         ys[k] = [row[i] for i in y_cols]
+        if not np.all(np.isfinite(ys[k])):
+            raise ParseError(f"{path}: non-finite measurement at k = {k}")
     return ys

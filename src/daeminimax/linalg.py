@@ -20,9 +20,8 @@ __all__ = [
     "EPS",
     "as_matrix",
     "as_vector",
+    "relative_cutoff",
     "pinv",
-    "sym_pinv",
-    "sym_sqrt",
     "numerical_rank",
     "sym_rank",
     "range_projector",
@@ -66,12 +65,16 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
-def _cutoff(s: np.ndarray, shape, rank_tol: float) -> float:
-    # Absolute cutoff below which singular values are treated as zero.
+def relative_cutoff(rank_tol: float, shape) -> float:
+    """The shared relative cutoff: ``rank_tol``, or ``eps * max(shape)`` when 0."""
     if rank_tol < 0:
         raise InvalidMatrix("rank_tol must be nonnegative")
-    rel = rank_tol if rank_tol > 0 else EPS * max(shape)
-    return rel * (float(s[0]) if s.size else 0.0)
+    return rank_tol if rank_tol > 0 else EPS * max(shape)
+
+
+def _cutoff(s: np.ndarray, shape, rank_tol: float) -> float:
+    # Absolute cutoff below which singular values are treated as zero.
+    return relative_cutoff(rank_tol, shape) * (float(s[0]) if s.size else 0.0)
 
 
 def pinv(a, rank_tol: float = 0.0) -> np.ndarray:
@@ -98,42 +101,6 @@ def pinv(a, rank_tol: float = 0.0) -> np.ndarray:
     if r == 0:
         return np.zeros((m.shape[1], m.shape[0]))
     return (vt[:r].T / s[:r]) @ u[:, :r].T
-
-
-def sym_pinv(a, rank_tol: float = 0.0) -> np.ndarray:
-    """Pseudoinverse of a symmetric positive-semidefinite matrix.
-
-    Uses a symmetric eigendecomposition with the shared relative cutoff,
-    so the result is symmetric PSD by construction.  Roundoff-scale
-    negative eigenvalues are treated as exact zeros; a generic SVD would
-    instead invert their magnitudes with mismatched left/right bases,
-    which destroys symmetry precisely in the amplified junk directions.
-    """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"sym_pinv needs a square matrix, got {m.shape}")
-    eigs, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    top = float(eigs[-1])
-    scale = rank_tol if rank_tol > 0.0 else EPS * max(m.shape)
-    keep = eigs > scale * max(top, 0.0)
-    if not bool(np.any(keep)):
-        return np.zeros_like(m)
-    out = (vecs[:, keep] / eigs[keep]) @ vecs[:, keep].T
-    return 0.5 * (out + out.T)
-
-
-def sym_sqrt(a) -> np.ndarray:
-    """Symmetric positive-semidefinite square root of a symmetric PSD matrix.
-
-    Roundoff-scale negative eigenvalues are clipped to zero before taking
-    the root, so the result is always real and PSD.
-    """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"sym_sqrt needs a square matrix, got {m.shape}")
-    eigs, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    out = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.T
-    return 0.5 * (out + out.T)
 
 
 def numerical_rank(a, rank_tol: float = 0.0) -> int:

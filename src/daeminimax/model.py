@@ -127,28 +127,27 @@ class ValidationReport:
         return "ok" if self.ok else "; ".join(self.issues)
 
 
-def _check_weight(issues, mat, name, dim):
+def _weight_issue(mat, dim):
+    """What is wrong with one weight matrix, or None."""
     if mat.shape != (dim, dim):
-        issues.append(
-            f"{name} dimension mismatch: got {mat.shape}, expected {(dim, dim)}"
-        )
-        return
+        return f"dimension mismatch: got {mat.shape}, expected {(dim, dim)}"
     if not np.all(np.isfinite(mat)):
-        issues.append(f"{name} has non-finite entries")
-        return
+        return "has non-finite entries"
     if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(mat).max()))):
-        issues.append(f"{name} not symmetric")
-        return
+        return "not symmetric"
     smallest = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
     if smallest <= 0.0:
-        issues.append(f"{name} not positive definite (min eigenvalue {smallest:.3g})")
+        return f"not positive definite (min eigenvalue {smallest:.3g})"
+    return None
 
 
 def validate(model: DescriptorModel) -> ValidationReport:
     """Check shapes, finiteness and weight positivity; never raises.
 
     Every finding is reported, so a single call lists all dimension
-    mismatches and all non-positive-definite weights at once.
+    mismatches and all non-positive-definite weights at once.  A weight
+    object shared by several steps is checked once and reported under
+    each of its names.
     """
     issues = []
     n, m, p, tau = model.n, model.m, model.p, model.tau
@@ -171,10 +170,14 @@ def validate(model: DescriptorModel) -> ValidationReport:
                 )
             elif not np.all(np.isfinite(mat)):
                 issues.append(f"{name}_{k} has non-finite entries")
-    for k, mat in enumerate(model.S):
-        _check_weight(issues, mat, f"S_{k}", m)
-    for k, mat in enumerate(model.R):
-        _check_weight(issues, mat, f"R_{k}", p)
+    checked = {}
+    for name, seq, dim in (("S", model.S, m), ("R", model.R, p)):
+        for k, mat in enumerate(seq):
+            key = (id(mat), dim)
+            if key not in checked:
+                checked[key] = _weight_issue(mat, dim)
+            if checked[key] is not None:
+                issues.append(f"{name}_{k} {checked[key]}")
     return ValidationReport(issues=tuple(issues))
 
 

@@ -106,16 +106,22 @@ def well_conditioned_instance(
     m: int | None = None,
     p: int | None = None,
     tau: int | None = None,
+    regular: bool = False,
 ):
     """Random (model, measurements) whose information spectra avoid the
     gray band, so solver agreement at 1e-8 is meaningful.
 
     The predicate inspects only model-intrinsic matrices: every filter
     information matrix P_k, every B_k = P_{k-1} + C'S_kC, and the
-    whole-horizon normal matrix.
+    whole-horizon normal matrix.  ``regular`` draws the model from
+    :func:`random_regular_model` (``m`` and ``p`` are then ignored and
+    ``tau`` defaults to 8).
     """
     while True:
-        model = random_model(rng, n=n, m=m, p=p, tau=tau)
+        if regular:
+            model = random_regular_model(rng, n=n, tau=8 if tau is None else tau)
+        else:
+            model = random_model(rng, n=n, m=m, p=p, tau=tau)
         ys = random_measurements(rng, model)
         try:
             # Probing a candidate may hit the very conditioning problems

@@ -108,6 +108,25 @@ def test_estimate_rejects_bad_direction(scalar_setup, tmp_path, capsys):
     assert "direction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    "k,y0\n0,1.0\nnan,1.0\n",   # non-finite step index
+    "k,y0\n0,1.0\ninf,1.0\n",
+    "k,y0\n0,1.0\n1.7,1.0\n",   # fractional step index
+    "k,y0\n0,1.0\n1,nan\n",     # non-finite measurement
+    "k,y0\n0,1.0\n1,-inf\n",
+    "k,y0\n0,1.0\n1\n",         # short row
+], ids=["k-nan", "k-inf", "k-fraction", "y-nan", "y-inf", "short-row"])
+def test_estimate_bad_measurement_cell_exits_2(scalar_setup, tmp_path, capsys, body):
+    spec, _ = scalar_setup
+    ys = tmp_path / "bad.csv"
+    ys.write_text(body)
+    rc = cli.main(["estimate", "--spec", spec, "--measurements", str(ys),
+                   "--out", str(tmp_path / "est.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # --- simulate ----------------------------------------------------------
 
 def test_simulate_demo_document(tmp_path, capsys):

@@ -1,0 +1,141 @@
+"""The stored eigenpairs of P_k: factorization counts, and agreement of
+every set query with the dense pseudoinverse route applied to state.P."""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import feasible_data, random_model, well_conditioned_instance
+from daeminimax import estimator
+from daeminimax.linalg import EPS, pinv, qform, range_projector, sym_rank
+from daeminimax.model import DescriptorModel, validate
+
+FACTORIZATIONS = ("cholesky", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
+                  "pinv", "qr", "solve", "svd")
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counter of numpy.linalg factorization calls made during the test."""
+    calls = Counter()
+    for name in FACTORIZATIONS:
+        def counted(*args, _name=name, _func=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_queries_make_no_factorization(factorizations):
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        model = random_model(rng, n=4, m=2, p=1, tau=6)
+        xs, _, _, ys = feasible_data(rng, model)
+        states = estimator.run(model, ys)
+        factorizations.clear()
+        for state, x in zip(states, xs):
+            report = estimator.estimate(state)
+            for ell in (np.eye(model.n)[0], report.basis[:, -1]):
+                estimator.ell_error(state, ell)
+            estimator.direction_bounds(state, report.basis[:, -1])
+            estimator.membership(state, x)
+            estimator.estimate(state, rank_tol=1e-3)
+        assert sum(factorizations.values()) == 0, dict(factorizations)
+
+
+def test_step_makes_at_most_four_factorizations(factorizations):
+    rng = np.random.default_rng(42)
+    model = random_model(rng, n=4, m=3, p=2, tau=5)
+    ys = rng.normal(size=(model.tau + 1, model.p))
+    state = estimator.init(model, ys[0])
+    for k in range(1, model.tau + 1):
+        factorizations.clear()
+        state = estimator.step(state, model, ys[k])
+        assert sum(factorizations.values()) <= 4, dict(factorizations)
+
+
+def test_step_accepts_semidefinite_weight():
+    # S = diag(1, 0) has no Cholesky factor; the step falls back to its
+    # eigendecomposition and still matches the literal update formula.
+    rng = np.random.default_rng(44)
+    F, C, H = rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), rng.normal(size=(1, 2))
+    S = np.diag([1.0, 0.0])
+    model = DescriptorModel.constant(F, C, H, S, np.eye(1), tau=1)
+    s0 = estimator.init(model, np.array([0.3]))
+    s1 = estimator.step(s0, model, np.array([0.2]))
+    B = s0.P + C.T @ S @ C
+    literal = H.T @ H + F.T @ (S - S @ C @ pinv(B) @ C.T @ S) @ F
+    assert np.allclose(s1.P, literal, atol=1e-12)
+
+
+def test_validate_checks_each_distinct_weight_once(factorizations):
+    one = np.array([[1.0]])
+    model = DescriptorModel.constant(one, one, one, 2.0 * one, 3.0 * one, tau=200)
+    assert validate(model).ok
+    assert sum(factorizations.values()) == 2
+
+
+def test_validate_reports_a_shared_bad_weight_under_every_name():
+    one = np.array([[1.0]])
+    model = DescriptorModel.constant(one, one, one, -one, one, tau=3)
+    issues = validate(model).issues
+    assert [issue.split()[0] for issue in issues] == ["S_0", "S_1", "S_2", "S_3"]
+    assert all("positive definite" in issue for issue in issues)
+
+
+def test_stricter_query_cutoff_drops_more_eigenpairs():
+    # P_0 = diag(2, 1e-4): a relative query cutoff of 1e-3 drops the second direction.
+    model = DescriptorModel.constant(np.diag([1.0, 1e-2]), np.zeros((2, 2)),
+                                     np.array([[1.0, 0.0]]), np.eye(2), np.eye(1), tau=0)
+    state = estimator.init(model, np.array([0.5]))
+    e2 = np.array([0.0, 1.0])
+    assert estimator.estimate(state).observable_rank == 2
+    assert estimator.ell_error(state, e2) == pytest.approx(math.sqrt(0.875e4), rel=1e-12)
+    strict = estimator.estimate(state, rank_tol=1e-3)
+    assert strict.observable_rank == sym_rank(state.P, 1e-3) == 1
+    assert np.allclose(strict.projector, np.diag([1.0, 0.0]), atol=1e-15)
+    assert np.allclose(strict.xhat, pinv(state.P, 1e-3) @ state.r, atol=1e-15)
+    assert math.isinf(estimator.ell_error(state, e2, rank_tol=1e-3))
+    assert estimator.membership(state, np.array([0.25, 1e3]), rank_tol=1e-3)
+    assert not estimator.membership(state, np.array([0.25, 1e3]))
+
+
+def _close(a, b, tol=1e-8) -> bool:
+    scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0)) <= tol * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), noncausal=st.booleans())
+def test_factored_queries_match_dense_route(seed, noncausal):
+    rng = np.random.default_rng(seed)
+    if noncausal:
+        n = int(rng.integers(3, 6))
+        m = int(rng.integers(1, n - 1))
+        model, ys = well_conditioned_instance(rng, n=n, m=m, p=int(rng.integers(1, n - m)))
+    else:
+        model, ys = well_conditioned_instance(rng, n=int(rng.integers(1, 5)), regular=True)
+    directions = list(np.eye(model.n)) + [rng.normal(size=model.n)]
+    for state in estimator.run(model, ys):
+        report = estimator.estimate(state)
+        xhat = pinv(state.P) @ state.r
+        beta = 1.0 - state.alpha + qform(state.P, xhat)
+        assert _close(report.xhat, xhat)
+        assert _close(report.beta, beta)
+        assert report.observable_rank == sym_rank(state.P)
+        proj = range_projector(state.P)
+        assert _close(report.projector, proj)
+        if beta < -estimator.BETA_TOL:
+            continue
+        for ell in directions:
+            got = estimator.ell_error(state, ell)
+            tol = max(model.n, 8) * EPS * float(np.linalg.norm(ell))
+            if float(np.linalg.norm(proj @ ell - ell)) > tol:
+                assert math.isinf(got)
+            else:
+                assert _close(got, math.sqrt(max(beta, 0.0) * max(ell @ pinv(state.P) @ ell, 0.0)))
