@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown
-from .linalg import as_vector, pinv, symmetrize
+from .linalg import as_rows, as_vector, pinv, symmetrize
 from .model import DescriptorModel
 
 __all__ = [
@@ -67,13 +67,7 @@ class BatchSolution:
 def assemble(model: DescriptorModel, ys) -> BatchProblem:
     """Stack the model and measurements into one least-squares problem."""
     tau, n, m, p = model.tau, model.n, model.m, model.p
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    if ys.shape[0] == 1 and p == 1 and tau + 1 > 1:
-        ys = ys.reshape(-1, 1)
-    if ys.shape != (tau + 1, p):
-        raise DimensionMismatch(
-            f"measurements: got shape {ys.shape}, expected {(tau + 1, p)}"
-        )
+    ys = as_rows(ys, tau + 1, p, "measurements")
     steps = tau + 1
     L = np.zeros((steps * m, steps * n))
     H = np.zeros((steps * p, steps * n))

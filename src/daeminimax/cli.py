@@ -128,16 +128,12 @@ def cmd_estimate(args) -> int:
 
 def cmd_observability(args) -> int:
     model, _ = _load_valid_model(args.spec)
-    ys = np.zeros((model.tau + 1, model.p))
-    states = estimator.run(model, ys, args.rank_tol)
+    links = estimator.schedule(model, args.rank_tol)
     print("k,rank,noncausality_index")
-    last = None
-    for state in states:
-        report = estimator.estimate(state, args.rank_tol)
-        last = report
-        print(f"{state.k},{report.observable_rank},{report.noncausality_index}")
-    print(f"observable subspace basis ({last.observable_rank} orthonormal columns):")
-    for row in last.basis:
+    for k, link in enumerate(links):
+        print(f"{k},{link.lam.size},{model.n - link.lam.size}")
+    print(f"observable subspace basis ({links[-1].lam.size} orthonormal columns):")
+    for row in links[-1].V:
         print(",".join(format_number(v) for v in row))
     return EXIT_OK
 

@@ -21,11 +21,23 @@ and n - rank(P_k) counts the unobservable directions (the noncausality
 index: it is zero exactly when the model behaves like a causal filtering
 problem).
 
-Each state also stores the kept eigenpairs (V_r, lam_r) of P_k, from the
-one eigendecomposition per step that checks and cleans P_k, and every
-query reads them: xhat = V_r (V_r' r / lam_r), rank = len(lam_r),
-projector V_r V_r'.  Each step factors S_k as W'W by Cholesky instead of
-taking its symmetric square root.
+P_k, and with it the observable subspace and the noncausality index,
+depends on the model alone; only r_k and alpha_k see the data.  So the
+recursion is split.  :func:`schedule` computes one :class:`Link` per
+step: the kept eigenpairs (V_r, lam_r) of P_k, from the one
+eigendecomposition that checks and cleans it, and the transport factors
+of r and alpha.  The data pass maps (r, alpha) through the links and
+factorizes nothing.  The model keeps its last schedule, and its matrices
+are read-only so that schedule cannot go stale: a second :func:`run` on
+the same model object factorizes nothing.  :func:`init` and :func:`step`
+compute and apply one link each, through the same code.  Only the
+schedule goes through ``symmetrize``, so an ``AsymmetryWarning`` comes
+once per model and cutoff, not once per run.
+
+Each state holds (V_r, lam_r), and its ``P`` is assembled from them on
+request; every query reads them: xhat = V_r (V_r' r / lam_r),
+rank = len(lam_r), projector V_r V_r'.  Each link factors S_k as W'W by
+Cholesky instead of taking its symmetric square root.
 
 A negative beta_k (below -BETA_TOL) certifies that no trajectory within
 the unit budget explains the data; it is reported, never clamped.
@@ -35,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +57,7 @@ from .errors import (
     NumericalBreakdown,
     OutsideObservable,
 )
-from .linalg import EPS, as_vector, qform, relative_cutoff, symmetrize
+from .linalg import EPS, as_rows, as_vector, qform, relative_cutoff, symmetrize
 from .model import DescriptorModel
 
 __all__ = [
@@ -53,6 +66,8 @@ __all__ = [
     "PSD_TOL",
     "FilterState",
     "EstimateReport",
+    "Link",
+    "schedule",
     "init",
     "step",
     "run",
@@ -72,20 +87,30 @@ MEMBERSHIP_SLACK = 1e-9
 PSD_TOL = 1e-9
 
 
+def _assemble(V: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """V diag(lam) V', symmetrized."""
+    P = (V * lam) @ V.T
+    return 0.5 * (P + P.T)
+
+
 @dataclass(frozen=True)
 class FilterState:
     """Sufficient statistic (P_k, r_k, alpha_k) after step k.
 
-    ``V`` and ``lam`` are the kept eigenpairs of P_k, so that
-    P = V diag(lam) V' up to roundoff; every set query reads them.
+    ``V`` and ``lam`` are the kept eigenpairs of P_k; every set query reads
+    them, and ``P`` is assembled from them on request.
     """
 
     k: int
-    P: np.ndarray
     r: np.ndarray
     alpha: float
     V: np.ndarray
     lam: np.ndarray
+
+    @property
+    def P(self) -> np.ndarray:
+        """The information matrix P_k = V diag(lam) V'."""
+        return _assemble(self.V, self.lam)
 
 
 @dataclass(frozen=True)
@@ -107,29 +132,24 @@ class EstimateReport:
         return np.eye(n) if self.observable_rank == n else self.basis @ self.basis.T
 
 
-def _factored(k: int, P: np.ndarray, r: np.ndarray, alpha: float, rank_tol: float) -> FilterState:
-    """Filter state with the kept eigenpairs of P, from one eigh of P.
+class Link(NamedTuple):
+    """The model-only part of step k.
 
-    Eigenvalues below -PSD_TOL (relative to the spectral radius) abort;
-    those at or below the shared cutoff become exact zeros.  Leaving such
-    roundoff-scale eigenvalues in P would let the next step's
-    pseudoinverse keep a junk direction of B = P + C'SC and amplify it by
-    its reciprocal, which can destroy positive semidefiniteness; at exact
-    zero a kept junk direction satisfies the exact Rayleigh bound
-    u'C'SCu <= lambda, so its contribution stays O(eps).
+    ``V``, ``lam`` are the kept eigenpairs of P_k.  The data pass maps
+    (r_{k-1}, alpha_{k-1}) to (r_k, alpha_k) through u = E' r_{k-1}:
+
+        r_k = L u + HtR y_k,   alpha_k = alpha_{k-1} + <R y_k, y_k> - |u|^2
+
+    with E = V_B diag(lam_B^{-1/2}) over the kept eigenpairs of B_{k-1}
+    and L = (W F_k)' K; at k = 0 both have no columns.
     """
-    eigs, vecs = np.linalg.eigh(P)
-    top = max(float(eigs[-1]), 0.0)
-    if float(eigs[0]) < -PSD_TOL * max(1.0, top):
-        raise NumericalBreakdown(
-            f"step {k}: P lost positive semidefiniteness (min eigenvalue {eigs[0]:.3e})"
-        )
-    keep = eigs > relative_cutoff(rank_tol, P.shape) * top
-    V, lam = vecs[:, keep], eigs[keep]
-    if not bool(np.all(keep)):
-        P = (V * lam) @ V.T
-        P = 0.5 * (P + P.T)
-    return FilterState(k=k, P=P, r=r, alpha=float(alpha), V=V, lam=lam)
+
+    V: np.ndarray
+    lam: np.ndarray
+    E: np.ndarray
+    L: np.ndarray
+    HtR: np.ndarray
+    R: np.ndarray
 
 
 def _weight_factor(S: np.ndarray) -> np.ndarray:
@@ -142,11 +162,91 @@ def _weight_factor(S: np.ndarray) -> np.ndarray:
         return np.sqrt(np.clip(eigs, 0.0, None))[:, None] * vecs.T
 
 
-def _measurement(model: DescriptorModel, y, k: int) -> np.ndarray:
-    vec = as_vector(y, f"y_{k}")
-    if vec.shape != (model.p,):
-        raise DimensionMismatch(f"y_{k}: got shape {vec.shape}, expected ({model.p},)")
-    return vec
+def _link(V_prev, lam_prev, model: DescriptorModel, k: int, rank_tol: float) -> Link:
+    """Step k of the recursion without the data: P_k and the transport.
+
+    P_{k-1} = V_prev diag(lam_prev) V_prev'; the formulas are those of
+    :func:`init` and :func:`step`.  The term
+    S_k - S_k C_{k-1} pinv(B_{k-1}) C_{k-1}' S_k of P_k is never formed
+    by that expression: expanding pinv(B) between two copies of C'S
+    suffers catastrophic cancellation once B carries a small kept
+    eigenvalue lambda (the error scales with eps/lambda, which reached
+    1e-2 on hard random models).  Instead, with
+    W'W = S (W the transposed Cholesky factor), G = W C and
+    B = P + G'G eigendecomposed as V diag(lambda) V', let
+    K = G V_r diag(lambda_r^{-1/2}).  Every column of K has exact norm at
+    most 1 because lambda = v'Pv + |Gv|^2, so
+
+        S - S C pinv(B) C' S  =  W' (I - K K') W
+
+    is evaluated from quantities of unit scale (error eps/sqrt(lambda))
+    and I - K K', whose exact spectrum lies in [0, 1], is clipped back
+    into that interval before use.
+
+    One eigendecomposition of P_k then checks it and gives its kept
+    eigenpairs: eigenvalues below -PSD_TOL (relative to the spectral
+    radius) abort, and those at or below the shared cutoff are dropped.
+    Leaving such roundoff-scale eigenvalues in P would let the next
+    step's pseudoinverse keep a junk direction of B = P + C'SC and amplify
+    it by its reciprocal, which can destroy positive semidefiniteness; at
+    exact zero a kept junk direction satisfies the exact Rayleigh bound
+    u'C'SCu <= lambda, so its contribution stays O(eps).
+    """
+    F, H, R = model.F[k], model.H[k], model.R[k]
+    if k == 0:
+        E = L = np.zeros((model.n, 0))
+        transported = F.T @ model.S[0] @ F
+    else:
+        W = _weight_factor(model.S[k])
+        G = W @ model.C[k - 1]
+        B = symmetrize(_assemble(V_prev, lam_prev) + G.T @ G)
+        eigs, vecs = np.linalg.eigh(B)
+        keep = eigs > relative_cutoff(rank_tol, B.shape) * max(float(eigs[-1]), 0.0)
+        E = vecs[:, keep] / np.sqrt(eigs[keep])
+        K = G @ E
+        M = symmetrize(np.eye(K.shape[0]) - K @ K.T)
+        me, mv = np.linalg.eigh(M)
+        M = (mv * np.clip(me, 0.0, 1.0)) @ mv.T
+        WF = W @ F
+        L = WF.T @ K
+        transported = WF.T @ M @ WF
+    HtR = H.T @ R
+    P = symmetrize(HtR @ H + transported)
+
+    eigs, vecs = np.linalg.eigh(P)
+    top = max(float(eigs[-1]), 0.0)
+    if float(eigs[0]) < -PSD_TOL * max(1.0, top):
+        raise NumericalBreakdown(
+            f"step {k}: P lost positive semidefiniteness (min eigenvalue {eigs[0]:.3e})"
+        )
+    keep = eigs > relative_cutoff(rank_tol, P.shape) * top
+    return Link(V=vecs[:, keep], lam=eigs[keep], E=E, L=L, HtR=HtR, R=R)
+
+
+def _apply(link: Link, k: int, r: np.ndarray, alpha: float, y: np.ndarray) -> FilterState:
+    """The data pass of step k: no factorization."""
+    u = link.E.T @ r
+    r = link.L @ u + link.HtR @ y
+    alpha = alpha + qform(link.R, y) - float(u @ u)
+    return FilterState(k=k, r=r, alpha=alpha, V=link.V, lam=link.lam)
+
+
+def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
+    """The links of steps 0..tau, which depend on the model alone.
+
+    The model keeps its last schedule, so a second call with the same
+    ``rank_tol`` factorizes nothing; the model's matrices are read-only,
+    so the kept schedule cannot go stale.
+    """
+    kept = model._schedule
+    if kept is not None and kept[0] == rank_tol:
+        return kept[1]
+    links = [_link(None, None, model, 0, rank_tol)]
+    for k in range(1, model.tau + 1):
+        links.append(_link(links[-1].V, links[-1].lam, model, k, rank_tol))
+    links = tuple(links)
+    object.__setattr__(model, "_schedule", (rank_tol, links))
+    return links
 
 
 def init(model: DescriptorModel, y0, rank_tol: float = 0.0) -> FilterState:
@@ -155,10 +255,8 @@ def init(model: DescriptorModel, y0, rank_tol: float = 0.0) -> FilterState:
     P_0 = F_0' S_0 F_0 + H_0' R_0 H_0,  r_0 = H_0' R_0 y_0,
     alpha_0 = <R_0 y_0, y_0>.
     """
-    y0 = _measurement(model, y0, 0)
-    F0, H0, S0, R0 = model.F[0], model.H[0], model.S[0], model.R[0]
-    P0 = symmetrize(F0.T @ S0 @ F0 + H0.T @ R0 @ H0)
-    return _factored(0, P0, H0.T @ (R0 @ y0), qform(R0, y0), rank_tol)
+    y0 = as_rows(y0, 1, model.p, "y_0")[0]
+    return _apply(_link(None, None, model, 0, rank_tol), 0, np.zeros(model.n), 0.0, y0)
 
 
 def step(state: FilterState, model: DescriptorModel, y, rank_tol: float = 0.0) -> FilterState:
@@ -174,62 +272,24 @@ def step(state: FilterState, model: DescriptorModel, y, rank_tol: float = 0.0) -
         alpha_k = alpha_{k-1} + <R_k y_k, y_k>
                   - <pinv(B_{k-1}) r_{k-1}, r_{k-1}>
 
-    The parenthesized term in P_k is never formed by that expression:
-    expanding pinv(B) between two copies of C'S suffers catastrophic
-    cancellation once B carries a small kept eigenvalue lambda (the error
-    scales with eps/lambda, which reached 1e-2 on hard random models).
-    Instead, with W'W = S (W the transposed Cholesky factor), G = W C and
-    B = P + G'G eigendecomposed as V diag(lambda) V', let
-    K = G V_r diag(lambda_r^{-1/2}).  Every column of K has exact norm at
-    most 1 because lambda = v'Pv + |Gv|^2, so
-
-        S - S C pinv(B) C' S  =  W' (I - K K') W
-
-    is evaluated from quantities of unit scale (error eps/sqrt(lambda))
-    and I - K K', whose exact spectrum lies in [0, 1], is clipped back
-    into that interval before use.  One eigendecomposition of P_k then
-    checks it, clears its sub-cutoff eigenvalues and gives its eigenpairs.
+    computed as one link (see :func:`_link`) applied to the data.
     """
     k = state.k + 1
     if k > model.tau:
         raise DimensionMismatch(f"step {k} is beyond the model horizon {model.tau}")
-    y = _measurement(model, y, k)
-    F, H, R = model.F[k], model.H[k], model.R[k]
-    C = model.C[k - 1]
-
-    W = _weight_factor(model.S[k])
-    G = W @ C
-    B = symmetrize(state.P + G.T @ G)
-    eigs, vecs = np.linalg.eigh(B)
-    keep = eigs > relative_cutoff(rank_tol, B.shape) * max(float(eigs[-1]), 0.0)
-    V = vecs[:, keep]
-    lam = eigs[keep]
-    K = G @ (V / np.sqrt(lam))
-
-    M = symmetrize(np.eye(K.shape[0]) - K @ K.T)
-    me, mv = np.linalg.eigh(M)
-    M = (mv * np.clip(me, 0.0, 1.0)) @ mv.T
-    WF = W @ F
-    P = symmetrize(H.T @ R @ H + WF.T @ M @ WF)
-
-    w = V.T @ state.r  # coordinates of r_{k-1} in the kept eigenbasis of B
-    r = WF.T @ (K @ (w / np.sqrt(lam))) + H.T @ (R @ y)
-    alpha = state.alpha + qform(R, y) - float(w @ (w / lam))
-    return _factored(k, P, r, alpha, rank_tol)
+    y = as_rows(y, 1, model.p, f"y_{k}")[0]
+    return _apply(_link(state.V, state.lam, model, k, rank_tol), k, state.r, state.alpha, y)
 
 
 def run(model: DescriptorModel, ys, rank_tol: float = 0.0) -> list:
-    """All filter states for the measurement rows ys[0..tau], in order."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    if ys.shape[0] == 1 and model.p == 1 and model.tau + 1 > 1:
-        ys = ys.reshape(-1, 1)
-    if ys.shape != (model.tau + 1, model.p):
-        raise DimensionMismatch(
-            f"measurements: got shape {ys.shape}, expected {(model.tau + 1, model.p)}"
-        )
-    states = [init(model, ys[0], rank_tol)]
-    for k in range(1, model.tau + 1):
-        states.append(step(states[-1], model, ys[k], rank_tol))
+    """All filter states for the measurement rows ys[0..tau], in order:
+    the model's :func:`schedule` followed by the data pass."""
+    ys = as_rows(ys, model.tau + 1, model.p, "measurements")
+    r, alpha = np.zeros(model.n), 0.0
+    states = []
+    for k, link in enumerate(schedule(model, rank_tol)):
+        states.append(_apply(link, k, r, alpha, ys[k]))
+        r, alpha = states[-1].r, states[-1].alpha
     return states
 
 
@@ -242,7 +302,7 @@ def _solution(state: FilterState, rank_tol: float):
     """
     V, lam = state.V, state.lam
     if lam.size:
-        keep = lam > relative_cutoff(rank_tol, state.P.shape) * float(lam[-1])
+        keep = lam > relative_cutoff(rank_tol, state.r.shape) * float(lam[-1])
         V, lam = V[:, keep], lam[keep]
     u = (V.T @ state.r) / np.sqrt(lam)
     return V, lam, V @ (u / np.sqrt(lam)), 1.0 - state.alpha + float(u @ u)
@@ -262,7 +322,7 @@ def estimate(state: FilterState, rank_tol: float = 0.0) -> EstimateReport:
         beta=beta,
         basis=V,
         observable_rank=lam.size,
-        noncausality_index=state.P.shape[0] - lam.size,
+        noncausality_index=state.r.size - lam.size,
         consistent=beta >= -BETA_TOL,
     )
 

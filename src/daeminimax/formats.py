@@ -16,14 +16,15 @@ runs.  Infinities serialize as the literal tokens ``inf`` and ``-inf``.
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import math
 
 import numpy as np
 
-from .errors import ParseError
-from .model import DescriptorModel
+from .errors import DimensionMismatch, ParseError
+from .model import DescriptorModel, matrix_sequence
 
 __all__ = [
     "format_number",
@@ -57,35 +58,44 @@ def format_number(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _matrix_sequence(doc, name, count, shape):
-    if name not in doc:
-        raise ParseError(f"missing required field {name!r}")
-    try:
-        arr = np.asarray(doc[name], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"field {name!r} is not numeric: {exc}") from exc
-    if count == 0:
-        return ()
-    if arr.ndim == 2:
-        if arr.shape != shape:
-            raise ParseError(f"field {name!r} has shape {arr.shape}, expected {shape}")
-        return (arr,) * count
-    if arr.ndim == 3:
-        if arr.shape != (count,) + shape:
-            raise ParseError(
-                f"field {name!r} has shape {arr.shape}, expected {(count,) + shape}"
-            )
-        return tuple(arr[i] for i in range(count))
-    raise ParseError(f"field {name!r} must be a matrix or a list of matrices")
+# The only syntax an input expression may use: numeric constants, names,
+# calls, arithmetic, comparisons and if-expressions.
+_EXPR_NODES = (
+    ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Call, ast.IfExp,
+    ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+    ast.UnaryOp, ast.UAdd, ast.USub,
+    ast.Compare, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
+)
+
+
+def _check_expression(tree, expr, name):
+    """Reject syntax outside the whitelist, so that an expression reaches no
+    Python object but ``k`` and the values and functions in _EXPR_NAMES."""
+    for node in ast.walk(tree):
+        if not isinstance(node, _EXPR_NODES):
+            what = type(node).__name__
+        elif isinstance(node, ast.Name) and node.id != "k" and node.id not in _EXPR_NAMES:
+            what = f"unknown name {node.id!r}"
+        elif isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
+            what = f"constant {node.value!r}"
+        elif isinstance(node, ast.Call) and (not isinstance(node.func, ast.Name) or node.keywords):
+            what = "a call of anything but a named function"
+        else:
+            continue
+        raise ParseError(f"field {name!r}: expression {expr!r}: {what} is not allowed")
 
 
 def _evaluate_series(exprs, count, dim, name):
     if len(exprs) != dim:
         raise ParseError(f"field {name!r} has {len(exprs)} expressions, expected {dim}")
-    try:
-        codes = [compile(expr, f"<{name}[{i}]>", "eval") for i, expr in enumerate(exprs)]
-    except SyntaxError as exc:
-        raise ParseError(f"field {name!r}: bad expression: {exc}") from exc
+    codes = []
+    for i, expr in enumerate(exprs):
+        try:
+            tree = ast.parse(expr, mode="eval")
+        except (SyntaxError, ValueError) as exc:
+            raise ParseError(f"field {name!r}: bad expression: {exc}") from exc
+        _check_expression(tree, expr, name)
+        codes.append(compile(tree, f"<{name}[{i}]>", "eval"))
     out = np.zeros((count, dim))
     for k in range(count):
         scope = dict(_EXPR_NAMES, k=k)
@@ -135,17 +145,18 @@ def load_model(doc: dict):
     n, m, p, tau = dims["n"], dims["m"], dims["p"], dims["tau"]
     if min(n, m, p) < 1 or tau < 0:
         raise ParseError(f"bad dimensions n={n} m={m} p={p} tau={tau}")
-    model = DescriptorModel(
-        n=n,
-        m=m,
-        p=p,
-        tau=tau,
-        F=_matrix_sequence(doc, "F", tau + 1, (m, n)),
-        C=_matrix_sequence(doc, "C", tau, (m, n)),
-        H=_matrix_sequence(doc, "H", tau + 1, (p, n)),
-        S=_matrix_sequence(doc, "S", tau + 1, (m, m)),
-        R=_matrix_sequence(doc, "R", tau + 1, (p, p)),
-    )
+    seqs = {}
+    for name, count, shape in (("F", tau + 1, (m, n)), ("C", tau, (m, n)), ("H", tau + 1, (p, n)),
+                               ("S", tau + 1, (m, m)), ("R", tau + 1, (p, p))):
+        if name not in doc:
+            raise ParseError(f"missing required field {name!r}")
+        try:
+            seqs[name] = matrix_sequence(doc[name], f"field {name!r}", count)
+        except DimensionMismatch as exc:
+            raise ParseError(str(exc)) from exc
+        if seqs[name] and seqs[name][0].shape != shape:
+            raise ParseError(f"field {name!r} has {seqs[name][0].shape} matrices, expected {shape}")
+    model = DescriptorModel(n=n, m=m, p=p, tau=tau, **seqs)
     inputs = {
         "f": _input_series(doc, "f", tau + 1, m),
         "g": _input_series(doc, "g", tau + 1, p),

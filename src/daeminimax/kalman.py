@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
-from .linalg import numerical_rank, symmetrize
+from .linalg import as_rows, numerical_rank, symmetrize
 from .model import DescriptorModel
 
 __all__ = ["KalmanState", "check_regularity", "kalman_init", "kalman_step", "run_kalman"]
@@ -57,7 +57,7 @@ def _inv(mat: np.ndarray, what: str) -> np.ndarray:
 def kalman_init(model: DescriptorModel, y0, rank_tol: float = 0.0) -> KalmanState:
     """Filtered state at k = 0: inv(P_{0|0}) = F_0' S_0 F_0 + H_0' R_0 H_0."""
     _require_regular(model, 0, rank_tol)
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    y0 = as_rows(y0, 1, model.p, "y_0")[0]
     F0, H0, S0, R0 = model.F[0], model.H[0], model.S[0], model.R[0]
     P = _inv(symmetrize(F0.T @ S0 @ F0 + H0.T @ R0 @ H0), "information matrix at k=0")
     return KalmanState(k=0, P=symmetrize(P), x=P @ (H0.T @ (R0 @ y0)))
@@ -78,7 +78,7 @@ def kalman_step(state: KalmanState, model: DescriptorModel, y, rank_tol: float =
     if k > model.tau:
         raise DimensionMismatch(f"step {k} is beyond the model horizon {model.tau}")
     _require_regular(model, k, rank_tol)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = as_rows(y, 1, model.p, f"y_{k}")[0]
     F, H, S, R = model.F[k], model.H[k], model.S[k], model.R[k]
     C = model.C[k - 1]
     A = _inv(symmetrize(_inv(S, f"S_{k}") + C @ state.P @ C.T), f"gain matrix at k={k}")
@@ -90,13 +90,7 @@ def kalman_step(state: KalmanState, model: DescriptorModel, y, rank_tol: float =
 
 def run_kalman(model: DescriptorModel, ys, rank_tol: float = 0.0) -> list:
     """All filtered states for the measurement rows ys[0..tau], in order."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    if ys.shape[0] == 1 and model.p == 1 and model.tau + 1 > 1:
-        ys = ys.reshape(-1, 1)
-    if ys.shape != (model.tau + 1, model.p):
-        raise DimensionMismatch(
-            f"measurements: got shape {ys.shape}, expected {(model.tau + 1, model.p)}"
-        )
+    ys = as_rows(ys, model.tau + 1, model.p, "measurements")
     states = [kalman_init(model, ys[0], rank_tol)]
     for k in range(1, model.tau + 1):
         states.append(kalman_step(states[-1], model, ys[k], rank_tol))

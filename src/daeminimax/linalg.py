@@ -20,6 +20,7 @@ __all__ = [
     "EPS",
     "as_matrix",
     "as_vector",
+    "as_rows",
     "relative_cutoff",
     "pinv",
     "numerical_rank",
@@ -63,6 +64,25 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise InvalidMatrix(f"{name}: non-finite entries")
     return v
+
+
+def as_rows(a, count: int, width: int, name: str = "rows") -> np.ndarray:
+    """Coerce ``a`` to a finite float array of shape (count, width).
+
+    A flat vector is read as one row, or as one column when width = 1, so
+    a scalar-output measurement sequence may come unstacked.
+    """
+    try:
+        m = np.atleast_2d(np.asarray(a, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise InvalidMatrix(f"{name}: not interpretable as a numeric array") from exc
+    if m.shape[0] == 1 and width == 1 and count > 1:
+        m = m.reshape(-1, 1)
+    if m.shape != (count, width):
+        raise DimensionMismatch(f"{name}: got shape {m.shape}, expected {(count, width)}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidMatrix(f"{name}: non-finite entries")
+    return m
 
 
 def relative_cutoff(rank_tol: float, shape) -> float:

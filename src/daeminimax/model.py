@@ -17,7 +17,7 @@ select one trajectory out of the affine solution set at each step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .linalg import pinv, qform
 __all__ = [
     "SIM_RESIDUAL_TOL",
     "DescriptorModel",
+    "matrix_sequence",
     "Trajectory",
     "ValidationReport",
     "validate",
@@ -40,11 +41,34 @@ __all__ = [
 SIM_RESIDUAL_TOL = 1e-9
 
 
-def _matrix_tuple(seq, name: str):
+def _frozen(value) -> np.ndarray:
+    arr = np.atleast_2d(np.array(value, dtype=float))
+    arr.flags.writeable = False
+    return arr
+
+
+def matrix_sequence(value, name: str, count: int | None = None) -> tuple:
+    """Per-step tuple of read-only float matrices from a sequence of
+    matrices or, given ``count``, from one matrix for every step or a 3-D
+    stack of ``count``.  Each distinct input object is copied once: steps
+    that shared one share one array, and the caller's arrays stay writable.
+    """
     try:
-        return tuple(np.atleast_2d(np.asarray(mat, dtype=float)) for mat in seq)
+        if count is None:
+            copies, seq = {}, []  # id -> (input, copy): holding the input keeps its id unique
+            for mat in value:
+                if id(mat) not in copies:
+                    copies[id(mat)] = (mat, _frozen(mat))
+                seq.append(copies[id(mat)][1])
+            return tuple(seq)
+        arr = _frozen(value)
     except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"{name}: not a sequence of numeric matrices") from exc
+        raise DimensionMismatch(f"{name}: not a matrix or a sequence of matrices") from exc
+    if arr.ndim == 2:
+        return (arr,) * count
+    if arr.ndim != 3 or arr.shape[0] != count:
+        raise DimensionMismatch(f"{name}: got shape {arr.shape}, expected a matrix or {count} stacked")
+    return tuple(arr)
 
 
 @dataclass(frozen=True)
@@ -58,7 +82,10 @@ class DescriptorModel:
     tau : int
         Horizon; matrices F, H, S, R have tau+1 entries, C has tau.
     F, C, H, S, R : tuple of numpy.ndarray
-        Matrix sequences as described in the module docstring.
+        Matrix sequences as described in the module docstring, read-only
+        when built by :meth:`from_sequences`, :func:`matrix_sequence` or the
+        file loader, so the estimator schedule kept on the model (see
+        ``estimator.schedule``) cannot go stale.
     """
 
     n: int
@@ -70,19 +97,22 @@ class DescriptorModel:
     H: tuple
     S: tuple
     R: tuple
+    # Last estimator schedule, (rank_tol, links); written only by estimator.schedule.
+    _schedule: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_sequences(cls, F, C, H, S, R) -> "DescriptorModel":
         """Build a model from matrix sequences, inferring (n, m, p, tau).
 
         Dimensions come from the leading matrices; later entries are not
-        checked here, so :func:`validate` can report every mismatch.
+        checked here, so :func:`validate` can report every mismatch.  Each
+        distinct matrix object is copied once into a read-only array.
         """
-        F = _matrix_tuple(F, "F")
-        C = _matrix_tuple(C, "C")
-        H = _matrix_tuple(H, "H")
-        S = _matrix_tuple(S, "S")
-        R = _matrix_tuple(R, "R")
+        F = matrix_sequence(F, "F")
+        C = matrix_sequence(C, "C")
+        H = matrix_sequence(H, "H")
+        S = matrix_sequence(S, "S")
+        R = matrix_sequence(R, "R")
         if not F or not H:
             raise DimensionMismatch("F and H must have at least one entry")
         m, n = F[0].shape
@@ -260,18 +290,6 @@ def budget(model: DescriptorModel, f, g) -> float:
     return float(total)
 
 
-def _seq_of(value, count: int, name: str):
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"{name}: not a matrix or uniform matrix sequence") from exc
-    if arr.ndim == 3:
-        if arr.shape[0] != count:
-            raise DimensionMismatch(f"{name}: got {arr.shape[0]} matrices, expected {count}")
-        return [arr[i] for i in range(count)]
-    return [np.atleast_2d(arr)] * count
-
-
 def augment_ode(A, output_map, S, R, tau: int | None = None) -> DescriptorModel:
     """Embed an explicit recursion with unknown drive into descriptor form.
 
@@ -296,10 +314,10 @@ def augment_ode(A, output_map, S, R, tau: int | None = None) -> DescriptorModel:
                 break
         else:
             raise DimensionMismatch("tau is required when all arguments are single matrices")
-    A = _seq_of(A, tau, "A")
-    output_map = _seq_of(output_map, tau + 1, "output_map")
-    S = _seq_of(S, tau + 1, "S")
-    R = _seq_of(R, tau + 1, "R")
+    A = matrix_sequence(A, "A", tau)
+    output_map = matrix_sequence(output_map, "output_map", tau + 1)
+    S = matrix_sequence(S, "S", tau + 1)
+    R = matrix_sequence(R, "R", tau + 1)
     n = S[0].shape[0]
     for Ak in A:
         if Ak.shape != (n, n):

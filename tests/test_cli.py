@@ -127,6 +127,22 @@ def test_estimate_bad_measurement_cell_exits_2(scalar_setup, tmp_path, capsys, b
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("expr", [
+    "(1).__class__.__mro__.__len__()",
+    "[1.0][0]",
+    "(lambda: 1.0)()",
+    "gamma(k)",
+    "__import__('os')",
+], ids=["attribute", "subscript", "lambda", "unknown-name", "builtin"])
+def test_expression_outside_whitelist_exits_2(tmp_path, capsys, expr):
+    doc = scalar_doc(tau=1)
+    doc["g"] = [expr]
+    rc = cli.main(["observability", "--spec", write_json(tmp_path / "model.json", doc)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # --- simulate ----------------------------------------------------------
 
 def test_simulate_demo_document(tmp_path, capsys):

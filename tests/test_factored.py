@@ -1,5 +1,6 @@
-"""The stored eigenpairs of P_k: factorization counts, and agreement of
-every set query with the dense pseudoinverse route applied to state.P."""
+"""The stored eigenpairs of P_k: factorization counts, agreement of every
+set query with the dense pseudoinverse route applied to state.P, and the
+model-only schedule kept on the model."""
 
 import math
 from collections import Counter
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import feasible_data, random_model, well_conditioned_instance
-from daeminimax import estimator
+from daeminimax import demo, estimator, formats
 from daeminimax.linalg import EPS, pinv, qform, range_projector, sym_rank
 from daeminimax.model import DescriptorModel, validate
 
@@ -110,9 +111,8 @@ def _close(a, b, tol=1e-8) -> bool:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0)) <= tol * scale
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), noncausal=st.booleans())
-def test_factored_queries_match_dense_route(seed, noncausal):
+def _screened_instance(seed, noncausal):
+    """Gray-band-screened (model, ys): noncausal (m + p < n) or regular."""
     rng = np.random.default_rng(seed)
     if noncausal:
         n = int(rng.integers(3, 6))
@@ -120,6 +120,13 @@ def test_factored_queries_match_dense_route(seed, noncausal):
         model, ys = well_conditioned_instance(rng, n=n, m=m, p=int(rng.integers(1, n - m)))
     else:
         model, ys = well_conditioned_instance(rng, n=int(rng.integers(1, 5)), regular=True)
+    return rng, model, ys
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), noncausal=st.booleans())
+def test_factored_queries_match_dense_route(seed, noncausal):
+    rng, model, ys = _screened_instance(seed, noncausal)
     directions = list(np.eye(model.n)) + [rng.normal(size=model.n)]
     for state in estimator.run(model, ys):
         report = estimator.estimate(state)
@@ -139,3 +146,63 @@ def test_factored_queries_match_dense_route(seed, noncausal):
                 assert math.isinf(got)
             else:
                 assert _close(got, math.sqrt(max(beta, 0.0) * max(ell @ pinv(state.P) @ ell, 0.0)))
+
+
+def _same_states(got, want) -> bool:
+    return len(got) == len(want) and all(
+        a.k == b.k and a.alpha == b.alpha and np.array_equal(a.r, b.r)
+        and np.array_equal(a.V, b.V) and np.array_equal(a.lam, b.lam)
+        for a, b in zip(got, want)
+    )
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), noncausal=st.booleans())
+def test_run_equals_init_step_chain_bit_for_bit(seed, noncausal):
+    _, model, ys = _screened_instance(seed, noncausal)
+    chain = [estimator.init(model, ys[0])]
+    for k in range(1, model.tau + 1):
+        chain.append(estimator.step(chain[-1], model, ys[k]))
+    assert _same_states(estimator.run(model, ys), chain)
+
+
+def test_second_run_on_a_model_factorizes_nothing(factorizations):
+    rng = np.random.default_rng(45)
+    model = random_model(rng, n=4, m=2, p=1, tau=8)
+    estimator.run(model, rng.normal(size=(model.tau + 1, model.p)))
+    assert sum(factorizations.values()) > 0
+    factorizations.clear()
+    states = estimator.run(model, rng.normal(size=(model.tau + 1, model.p)))
+    assert len(states) == model.tau + 1
+    assert sum(factorizations.values()) == 0, dict(factorizations)
+
+
+def test_run_with_another_cutoff_recomputes_like_a_fresh_model():
+    # On the demo model the default cutoff and RANK_TOL disagree on the
+    # rank of P_1, so a stale schedule would show in the index.
+    model = demo.build_model(8)
+    ys = demo.plant_trajectory(8)[1]
+    default = estimator.run(model, ys)
+    pinned = estimator.run(model, ys, demo.RANK_TOL)
+    assert _same_states(pinned, estimator.run(demo.build_model(8), ys, demo.RANK_TOL))
+    assert [estimator.estimate(s, demo.RANK_TOL).noncausality_index for s in pinned[:2]] == [2, 3]
+    assert estimator.estimate(default[1]).noncausality_index == 2
+    assert _same_states(estimator.run(model, ys), default)
+
+
+def test_model_matrices_are_read_only():
+    one = np.array([[1.0]])
+    built = DescriptorModel.constant(one, one, one, one, one, tau=2)
+    loaded, _ = formats.load_model({"n": 1, "m": 1, "p": 1, "tau": 2, "F": [[[1.0]]] * 3,
+                                    "C": [[1.0]], "H": [[1.0]], "S": [[1.0]], "R": [[1.0]]})
+    for model in (built, loaded):
+        with pytest.raises(ValueError):
+            model.F[0][0, 0] = 2.0
+
+
+def test_from_sequences_leaves_the_caller_array_writable():
+    F = np.eye(2)
+    model = DescriptorModel.constant(F, np.eye(2), np.ones((1, 2)), np.eye(2), np.eye(1), tau=3)
+    assert all(Fk is model.F[0] for Fk in model.F)
+    F[0, 0] = 5.0
+    assert model.F[0][0, 0] == 1.0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_measurements, random_regular_model
-from daeminimax import estimator, kalman
-from daeminimax.errors import SingularMatrix
+from daeminimax import batch, estimator, kalman
+from daeminimax.errors import DimensionMismatch, InvalidMatrix, SingularMatrix
 from daeminimax.linalg import pinv
 from daeminimax.model import DescriptorModel
 
@@ -86,3 +86,26 @@ def test_kalman_singular_transition_weight():
     s0 = kalman.kalman_init(model, np.array([1.0]))
     with pytest.raises(SingularMatrix):
         kalman.kalman_step(s0, model, np.array([1.0]))
+
+
+def test_kalman_steps_check_the_measurement():
+    eye = np.eye(2)
+    model = DescriptorModel.constant(eye, eye, eye, eye, eye, tau=1)
+    with pytest.raises(DimensionMismatch):
+        kalman.kalman_init(model, np.ones(3))
+    s0 = kalman.kalman_init(model, np.ones(2))
+    with pytest.raises(DimensionMismatch):
+        kalman.kalman_step(s0, model, np.ones(3))
+    with pytest.raises(InvalidMatrix):
+        kalman.kalman_step(s0, model, np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("entry", [estimator.run, kalman.run_kalman, batch.assemble],
+                         ids=["run", "run_kalman", "assemble"])
+def test_measurement_blocks_are_checked_alike(entry):
+    eye = np.eye(2)
+    model = DescriptorModel.constant(eye, eye, eye, eye, eye, tau=1)
+    with pytest.raises(DimensionMismatch):
+        entry(model, np.ones((2, 3)))
+    with pytest.raises(InvalidMatrix):
+        entry(model, np.array([[0.0, np.inf], [0.0, 0.0]]))
