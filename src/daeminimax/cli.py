@@ -56,6 +56,8 @@ def _parse_direction(text, n):
         raise ParseError(f"bad direction {text!r}: {exc}") from exc
     if vec.shape != (n,):
         raise ParseError(f"direction {text!r} has {vec.size} components, expected {n}")
+    if not np.all(np.isfinite(vec)):
+        raise ParseError(f"direction {text!r} has non-finite components")
     return vec
 
 
@@ -109,7 +111,7 @@ def cmd_estimate(args) -> int:
             if not report.consistent:
                 row += [value, math.nan, math.nan, 0]
                 continue
-            radius = estimator.ell_error(state, ell, args.rank_tol)
+            radius = estimator.radius(report, ell)
             if radius == math.inf:
                 row += [value, -math.inf, math.inf, 0]
             else:
@@ -189,13 +191,12 @@ def cmd_reproduce(args) -> int:
     worst_centering = 0.0
     indices = [estimator.estimate(states[0], rank_tol).noncausality_index]
     for k in range(1, horizon + 1):
-        state = states[k]
-        report = estimator.estimate(state, rank_tol)
+        report = estimator.estimate(states[k], rank_tol)
         indices.append(report.noncausality_index)
         est_row, bnd_row = [k], [k]
         for ell in directions.values():
             value = float(ell @ report.xhat)
-            err = estimator.ell_error(state, ell, rank_tol)
+            err = estimator.radius(report, ell)
             if math.isinf(err):
                 low, high = -math.inf, math.inf
             else:

@@ -35,9 +35,12 @@ schedule goes through ``symmetrize``, so an ``AsymmetryWarning`` comes
 once per model and cutoff, not once per run.
 
 Each state holds (V_r, lam_r), and its ``P`` is assembled from them on
-request; every query reads them: xhat = V_r (V_r' r / lam_r),
-rank = len(lam_r), projector V_r V_r'.  Each link factors S_k as W'W by
-Cholesky instead of taking its symmetric square root.
+request.  :func:`estimate` solves a state once from them:
+xhat = V_r (V_r' r / lam_r), rank = len(lam_r), projector V_r V_r'; its
+report keeps the eigenpairs, so :func:`radius` answers every direction
+without solving again.  Each link factors S_k as W'W by Cholesky instead
+of taking its symmetric square root, and a step that reads the same
+matrix objects as the step before reuses that factor and its products.
 
 A negative beta_k (below -BETA_TOL) certifies that no trajectory within
 the unit budget explains the data; it is reported, never clamped.
@@ -72,6 +75,7 @@ __all__ = [
     "step",
     "run",
     "estimate",
+    "radius",
     "ell_error",
     "direction_bounds",
     "membership",
@@ -115,12 +119,18 @@ class FilterState:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Central estimate and the shape of the informational set at one step;
-    ``basis`` has orthonormal columns spanning range(P_k)."""
+    """Central estimate and the shape of the informational set at one step.
+
+    ``basis`` has orthonormal columns spanning range(P_k), ``lam`` holds
+    the eigenvalues of P_k paired with them, and ``rank_tol`` is the query
+    cutoff they were kept under; :func:`radius` reads all three.
+    """
 
     xhat: np.ndarray
     beta: float
     basis: np.ndarray
+    lam: np.ndarray
+    rank_tol: float
     observable_rank: int
     noncausality_index: int
     consistent: bool
@@ -162,11 +172,51 @@ def _weight_factor(S: np.ndarray) -> np.ndarray:
         return np.sqrt(np.clip(eigs, 0.0, None))[:, None] * vecs.T
 
 
-def _link(V_prev, lam_prev, model: DescriptorModel, k: int, rank_tol: float) -> Link:
+class _Products(NamedTuple):
+    """The products of step k that depend on the model alone.
+
+    With W'W = S_k: G = W C_{k-1}, GtG = G'G and WF = W F_k (all None at
+    k = 0), HtR = H_k'R_k, HtRH = H_k'R_k H_k, and R = R_k.
+    """
+
+    G: np.ndarray | None
+    GtG: np.ndarray | None
+    WF: np.ndarray | None
+    HtR: np.ndarray
+    HtRH: np.ndarray
+    R: np.ndarray
+
+
+def _products(model: DescriptorModel, k: int) -> _Products:
+    """Step k's model-only products (see :class:`_Products`)."""
+    H, R = model.H[k], model.R[k]
+    HtR = H.T @ R
+    if k == 0:
+        return _Products(None, None, None, HtR, HtR @ H, R)
+    W = _weight_factor(model.S[k])
+    G = W @ model.C[k - 1]
+    return _Products(G, G.T @ G, W @ model.F[k], HtR, HtR @ H, R)
+
+
+def _same_matrices(model: DescriptorModel, k: int) -> bool:
+    """Whether step k >= 2 reads the very objects step k-1 read, so that
+    its model-only products are those of step k-1."""
+    return (
+        model.F[k] is model.F[k - 1]
+        and model.C[k - 1] is model.C[k - 2]
+        and model.H[k] is model.H[k - 1]
+        and model.S[k] is model.S[k - 1]
+        and model.R[k] is model.R[k - 1]
+    )
+
+
+def _link(V_prev, lam_prev, model: DescriptorModel, k: int, rank_tol: float,
+          prod: _Products) -> Link:
     """Step k of the recursion without the data: P_k and the transport.
 
-    P_{k-1} = V_prev diag(lam_prev) V_prev'; the formulas are those of
-    :func:`init` and :func:`step`.  The term
+    P_{k-1} = V_prev diag(lam_prev) V_prev' and ``prod`` holds
+    :func:`_products` of step k; the formulas are those of :func:`init`
+    and :func:`step`.  The term
     S_k - S_k C_{k-1} pinv(B_{k-1}) C_{k-1}' S_k of P_k is never formed
     by that expression: expanding pinv(B) between two copies of C'S
     suffers catastrophic cancellation once B carries a small kept
@@ -192,26 +242,22 @@ def _link(V_prev, lam_prev, model: DescriptorModel, k: int, rank_tol: float) -> 
     exact zero a kept junk direction satisfies the exact Rayleigh bound
     u'C'SCu <= lambda, so its contribution stays O(eps).
     """
-    F, H, R = model.F[k], model.H[k], model.R[k]
     if k == 0:
         E = L = np.zeros((model.n, 0))
+        F = model.F[0]
         transported = F.T @ model.S[0] @ F
     else:
-        W = _weight_factor(model.S[k])
-        G = W @ model.C[k - 1]
-        B = symmetrize(_assemble(V_prev, lam_prev) + G.T @ G)
+        B = symmetrize(_assemble(V_prev, lam_prev) + prod.GtG)
         eigs, vecs = np.linalg.eigh(B)
         keep = eigs > relative_cutoff(rank_tol, B.shape) * max(float(eigs[-1]), 0.0)
         E = vecs[:, keep] / np.sqrt(eigs[keep])
-        K = G @ E
+        K = prod.G @ E
         M = symmetrize(np.eye(K.shape[0]) - K @ K.T)
         me, mv = np.linalg.eigh(M)
         M = (mv * np.clip(me, 0.0, 1.0)) @ mv.T
-        WF = W @ F
-        L = WF.T @ K
-        transported = WF.T @ M @ WF
-    HtR = H.T @ R
-    P = symmetrize(HtR @ H + transported)
+        L = prod.WF.T @ K
+        transported = prod.WF.T @ M @ prod.WF
+    P = symmetrize(prod.HtRH + transported)
 
     eigs, vecs = np.linalg.eigh(P)
     top = max(float(eigs[-1]), 0.0)
@@ -220,7 +266,7 @@ def _link(V_prev, lam_prev, model: DescriptorModel, k: int, rank_tol: float) -> 
             f"step {k}: P lost positive semidefiniteness (min eigenvalue {eigs[0]:.3e})"
         )
     keep = eigs > relative_cutoff(rank_tol, P.shape) * top
-    return Link(V=vecs[:, keep], lam=eigs[keep], E=E, L=L, HtR=HtR, R=R)
+    return Link(V=vecs[:, keep], lam=eigs[keep], E=E, L=L, HtR=prod.HtR, R=prod.R)
 
 
 def _apply(link: Link, k: int, r: np.ndarray, alpha: float, y: np.ndarray) -> FilterState:
@@ -234,16 +280,23 @@ def _apply(link: Link, k: int, r: np.ndarray, alpha: float, y: np.ndarray) -> Fi
 def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
     """The links of steps 0..tau, which depend on the model alone.
 
-    The model keeps its last schedule, so a second call with the same
-    ``rank_tol`` factorizes nothing; the model's matrices are read-only,
-    so the kept schedule cannot go stale.
+    While step k reads the same matrix objects as step k-1, it reuses that
+    step's model-only products (the Cholesky factor of S_k and the products
+    with it), so a time-invariant model factors its weight once.  The model
+    keeps its last schedule, so a second call with the same ``rank_tol``
+    factorizes nothing; the model's matrices are read-only, so the kept
+    schedule cannot go stale.
     """
     kept = model._schedule
     if kept is not None and kept[0] == rank_tol:
         return kept[1]
-    links = [_link(None, None, model, 0, rank_tol)]
+    links = [_link(None, None, model, 0, rank_tol, _products(model, 0))]
     for k in range(1, model.tau + 1):
-        links.append(_link(links[-1].V, links[-1].lam, model, k, rank_tol))
+        # Only the previous step's products are held: a dict over all steps
+        # would keep every step's products alive on a time-varying model.
+        if k == 1 or not _same_matrices(model, k):
+            prod = _products(model, k)
+        links.append(_link(links[-1].V, links[-1].lam, model, k, rank_tol, prod))
     links = tuple(links)
     object.__setattr__(model, "_schedule", (rank_tol, links))
     return links
@@ -256,7 +309,8 @@ def init(model: DescriptorModel, y0, rank_tol: float = 0.0) -> FilterState:
     alpha_0 = <R_0 y_0, y_0>.
     """
     y0 = as_rows(y0, 1, model.p, "y_0")[0]
-    return _apply(_link(None, None, model, 0, rank_tol), 0, np.zeros(model.n), 0.0, y0)
+    link = _link(None, None, model, 0, rank_tol, _products(model, 0))
+    return _apply(link, 0, np.zeros(model.n), 0.0, y0)
 
 
 def step(state: FilterState, model: DescriptorModel, y, rank_tol: float = 0.0) -> FilterState:
@@ -278,7 +332,8 @@ def step(state: FilterState, model: DescriptorModel, y, rank_tol: float = 0.0) -
     if k > model.tau:
         raise DimensionMismatch(f"step {k} is beyond the model horizon {model.tau}")
     y = as_rows(y, 1, model.p, f"y_{k}")[0]
-    return _apply(_link(state.V, state.lam, model, k, rank_tol), k, state.r, state.alpha, y)
+    link = _link(state.V, state.lam, model, k, rank_tol, _products(model, k))
+    return _apply(link, k, state.r, state.alpha, y)
 
 
 def run(model: DescriptorModel, ys, rank_tol: float = 0.0) -> list:
@@ -293,19 +348,16 @@ def run(model: DescriptorModel, ys, rank_tol: float = 0.0) -> list:
     return states
 
 
-def _solution(state: FilterState, rank_tol: float):
-    """Kept eigenpairs under the query cutoff, with xhat and beta.
+def _checked(state: FilterState, vec, name: str) -> np.ndarray:
+    vec = as_vector(vec, name)
+    if vec.shape != state.r.shape:
+        raise DimensionMismatch(f"{name}: got shape {vec.shape}, expected {state.r.shape}")
+    return vec
 
-    The state already holds P's eigenpairs above the run's cutoff; a
-    stricter query cutoff drops more of them through the same rule.
-    xhat = V (V'r / lam) and beta = 1 - alpha + |V'r / sqrt(lam)|^2.
-    """
-    V, lam = state.V, state.lam
-    if lam.size:
-        keep = lam > relative_cutoff(rank_tol, state.r.shape) * float(lam[-1])
-        V, lam = V[:, keep], lam[keep]
-    u = (V.T @ state.r) / np.sqrt(lam)
-    return V, lam, V @ (u / np.sqrt(lam)), 1.0 - state.alpha + float(u @ u)
+
+def _require_consistent(report: EstimateReport) -> None:
+    if report.beta < -BETA_TOL:
+        raise InconsistentData(f"beta = {report.beta:.3e} below -{BETA_TOL:g}")
 
 
 def estimate(state: FilterState, rank_tol: float = 0.0) -> EstimateReport:
@@ -315,34 +367,39 @@ def estimate(state: FilterState, rank_tol: float = 0.0) -> EstimateReport:
     beta = 1 - alpha + <P xhat, xhat>.  ``consistent`` is False when beta
     falls below -BETA_TOL, meaning no trajectory within the unit budget
     can produce the processed measurements.
+
+    The state already holds P's eigenpairs above the run's cutoff; a
+    stricter query cutoff drops more of them through the same rule.
+    xhat = V (V'r / lam) and beta = 1 - alpha + |V'r / sqrt(lam)|^2.  The
+    report keeps the eigenpairs, so :func:`radius` answers any direction
+    from it without solving again.
     """
-    V, lam, xhat, beta = _solution(state, rank_tol)
+    V, lam = state.V, state.lam
+    if lam.size:
+        keep = lam > relative_cutoff(rank_tol, state.r.shape) * float(lam[-1])
+        V, lam = V[:, keep], lam[keep]
+    u = (V.T @ state.r) / np.sqrt(lam)
+    beta = 1.0 - state.alpha + float(u @ u)
     return EstimateReport(
-        xhat=xhat,
+        xhat=V @ (u / np.sqrt(lam)),
         beta=beta,
         basis=V,
+        lam=lam,
+        rank_tol=rank_tol,
         observable_rank=lam.size,
         noncausality_index=state.r.size - lam.size,
         consistent=beta >= -BETA_TOL,
     )
 
 
-def _consistent_solution(state: FilterState, vec, name: str, rank_tol: float):
-    vec = as_vector(vec, name)
-    if vec.shape != state.r.shape:
-        raise DimensionMismatch(f"{name}: got shape {vec.shape}, expected {state.r.shape}")
-    V, lam, xhat, beta = _solution(state, rank_tol)
-    if beta < -BETA_TOL:
-        raise InconsistentData(f"beta = {beta:.3e} below -{BETA_TOL:g}")
-    return vec, V, lam, xhat, beta
-
-
-def ell_error(state: FilterState, ell, rank_tol: float = 0.0) -> float:
-    """Worst-case error of the estimate in direction ell.
+def radius(report: EstimateReport, ell: np.ndarray) -> float:
+    """Worst-case error of the report's estimate in direction ell.
 
     Returns sqrt(beta) * sqrt(<pinv(P) ell, ell>) when ell lies in the
     observable subspace range(P), and ``math.inf`` otherwise (an infinite
-    radius is an answer, not an error).
+    radius is an answer, not an error).  ``ell`` must be a finite float
+    vector of length n; :func:`ell_error` checks it, this function does
+    not.
 
     Raises
     ------
@@ -350,13 +407,23 @@ def ell_error(state: FilterState, ell, rank_tol: float = 0.0) -> float:
         If beta < -BETA_TOL, since no error radius exists for data that
         violates the budget.
     """
-    ell, V, lam, _, beta = _consistent_solution(state, ell, "ell", rank_tol)
-    # Outside range(P) beyond the cutoff, floored at the projection's own roundoff.
-    tol = max(relative_cutoff(rank_tol, ell.shape), 8.0 * EPS) * float(np.linalg.norm(ell))
-    c = V.T @ ell
-    if lam.size < ell.size and float(np.linalg.norm(ell - V @ c)) > tol:
-        return inf
-    return sqrt(max(beta, 0.0) * float(c @ (c / lam)))
+    _require_consistent(report)
+    c = report.basis.T @ ell
+    if report.observable_rank < ell.size:
+        # Outside range(P) beyond the cutoff, floored at the projection's own roundoff.
+        tol = max(relative_cutoff(report.rank_tol, ell.shape), 8.0 * EPS) * float(np.linalg.norm(ell))
+        if float(np.linalg.norm(ell - report.basis @ c)) > tol:
+            return inf
+    return sqrt(max(report.beta, 0.0) * float(c @ (c / report.lam)))
+
+
+def ell_error(state: FilterState, ell, rank_tol: float = 0.0) -> float:
+    """Worst-case error of the estimate in direction ell: :func:`radius`
+    of :func:`estimate`, after checking that ell is a finite vector of
+    length n.
+    """
+    ell = _checked(state, ell, "ell")
+    return radius(estimate(state, rank_tol), ell)
 
 
 def direction_bounds(state: FilterState, ell, rank_tol: float = 0.0):
@@ -372,12 +439,13 @@ def direction_bounds(state: FilterState, ell, rank_tol: float = 0.0):
     InconsistentData
         If beta < -BETA_TOL.
     """
-    ell = as_vector(ell, "ell")
-    radius = ell_error(state, ell, rank_tol)
-    if radius == inf:
+    ell = _checked(state, ell, "ell")
+    report = estimate(state, rank_tol)
+    half = radius(report, ell)
+    if half == inf:
         raise OutsideObservable("direction outside the observable subspace")
-    center = float(ell @ _solution(state, rank_tol)[2])
-    return center - radius, center + radius
+    center = float(ell @ report.xhat)
+    return center - half, center + half
 
 
 def membership(state: FilterState, x, rank_tol: float = 0.0) -> bool:
@@ -386,6 +454,8 @@ def membership(state: FilterState, x, rank_tol: float = 0.0) -> bool:
     Tests <P (x - xhat), x - xhat> <= beta + MEMBERSHIP_SLACK; directions
     in the null space of P are unconstrained, as in X(k) itself.
     """
-    x, V, lam, xhat, beta = _consistent_solution(state, x, "x", rank_tol)
-    c = V.T @ (x - xhat)
-    return float(c @ (lam * c)) <= beta + MEMBERSHIP_SLACK
+    x = _checked(state, x, "x")
+    report = estimate(state, rank_tol)
+    _require_consistent(report)
+    c = report.basis.T @ (x - report.xhat)
+    return float(c @ (report.lam * c)) <= report.beta + MEMBERSHIP_SLACK

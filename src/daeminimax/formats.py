@@ -85,6 +85,23 @@ def _check_expression(tree, expr, name):
         raise ParseError(f"field {name!r}: expression {expr!r}: {what} is not allowed")
 
 
+def _float_power(base, exponent):
+    return float(base) ** float(exponent)
+
+
+class _FloatPowers(ast.NodeTransformer):
+    """Rewrite ``a ** b`` as ``_float_power(a, b)``.  An integer power is
+    exact and can take unbounded time and memory (``9**9**9``); a float
+    power overflows at once."""
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        call = ast.Call(ast.Name("_float_power", ast.Load()), [node.left, node.right], [])
+        return ast.copy_location(call, node)
+
+
 def _evaluate_series(exprs, count, dim, name):
     if len(exprs) != dim:
         raise ParseError(f"field {name!r} has {len(exprs)} expressions, expected {dim}")
@@ -95,10 +112,11 @@ def _evaluate_series(exprs, count, dim, name):
         except (SyntaxError, ValueError) as exc:
             raise ParseError(f"field {name!r}: bad expression: {exc}") from exc
         _check_expression(tree, expr, name)
+        tree = ast.fix_missing_locations(_FloatPowers().visit(tree))
         codes.append(compile(tree, f"<{name}[{i}]>", "eval"))
     out = np.zeros((count, dim))
     for k in range(count):
-        scope = dict(_EXPR_NAMES, k=k)
+        scope = dict(_EXPR_NAMES, k=k, _float_power=_float_power)
         for i, code in enumerate(codes):
             try:
                 out[k, i] = float(eval(code, {"__builtins__": {}}, scope))
@@ -114,15 +132,18 @@ def _input_series(doc, name, count, dim):
     if value is None:
         return None
     if isinstance(value, list) and value and all(isinstance(v, str) for v in value):
-        return _evaluate_series(value, count, dim, name)
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"field {name!r} is not numeric: {exc}") from exc
-    if dim == 1 and arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.shape != (count, dim):
-        raise ParseError(f"field {name!r} has shape {arr.shape}, expected {(count, dim)}")
+        arr = _evaluate_series(value, count, dim, name)
+    else:
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"field {name!r} is not numeric: {exc}") from exc
+        if dim == 1 and arr.ndim == 1:
+            arr = arr.reshape(-1, 1)
+        if arr.shape != (count, dim):
+            raise ParseError(f"field {name!r} has shape {arr.shape}, expected {(count, dim)}")
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"field {name!r} has non-finite entries")
     return arr
 
 
@@ -257,18 +278,25 @@ def measurement_rows(path, model: DescriptorModel) -> np.ndarray:
     want = model.tau + 1
     if len(rows) != want:
         raise ParseError(f"{path}: got {len(rows)} rows, expected k = 0..{model.tau}")
-    ys = np.zeros((want, model.p))
-    seen = set()
     for row in rows:
         if len(row) != len(header):
             raise ParseError(f"{path}: a row has {len(row)} cells, header has {len(header)}")
-        if not row[k_col].is_integer():
-            raise ParseError(f"{path}: step index {row[k_col]!r} is not an integer")
-        k = int(row[k_col])
-        if not 0 <= k < want or k in seen:
-            raise ParseError(f"{path}: step index {k} outside 0..{model.tau} or repeated")
-        seen.add(k)
-        ys[k] = [row[i] for i in y_cols]
-        if not np.all(np.isfinite(ys[k])):
-            raise ParseError(f"{path}: non-finite measurement at k = {k}")
+    table = np.array(rows)
+    ks = table[:, k_col]
+    bad = ~np.isfinite(ks) | (ks != np.floor(ks))
+    if bad.any():
+        raise ParseError(f"{path}: step index {float(ks[bad.argmax()])!r} is not an integer")
+    first = np.zeros(want, dtype=bool)
+    first[np.unique(ks, return_index=True)[1]] = True
+    bad = ~first | (ks < 0) | (ks >= want)
+    if bad.any():
+        k = int(ks[bad.argmax()])
+        raise ParseError(f"{path}: step index {k} outside 0..{model.tau} or repeated")
+    y = table[:, y_cols]
+    bad = ~np.all(np.isfinite(y), axis=1)
+    if bad.any():
+        k = int(ks[bad.argmax()])
+        raise ParseError(f"{path}: non-finite measurement at k = {k}")
+    ys = np.empty_like(y)
+    ys[ks.astype(np.intp)] = y
     return ys

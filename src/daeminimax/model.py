@@ -42,6 +42,14 @@ SIM_RESIDUAL_TOL = 1e-9
 
 
 def _frozen(value) -> np.ndarray:
+    """``value`` itself when it is a float matrix that neither it nor any
+    array it views can write into, else a read-only float copy of it."""
+    if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 2:
+        base = value
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is None:
+            return value
     arr = np.atleast_2d(np.array(value, dtype=float))
     arr.flags.writeable = False
     return arr
@@ -50,17 +58,16 @@ def _frozen(value) -> np.ndarray:
 def matrix_sequence(value, name: str, count: int | None = None) -> tuple:
     """Per-step tuple of read-only float matrices from a sequence of
     matrices or, given ``count``, from one matrix for every step or a 3-D
-    stack of ``count``.  Each distinct input object is copied once: steps
-    that shared one share one array, and the caller's arrays stay writable.
+    stack of ``count``.  Each distinct input object is checked once and
+    copied unless it already is a read-only float matrix over read-only
+    data: steps that shared one share one array, and the caller's arrays
+    stay writable.
     """
     try:
         if count is None:
-            copies, seq = {}, []  # id -> (input, copy): holding the input keeps its id unique
-            for mat in value:
-                if id(mat) not in copies:
-                    copies[id(mat)] = (mat, _frozen(mat))
-                seq.append(copies[id(mat)][1])
-            return tuple(seq)
+            value = tuple(value)  # holds every input, so their ids stay unique
+            frozen = {key: _frozen(mat) for key, mat in dict(zip(map(id, value), value)).items()}
+            return tuple(map(frozen.__getitem__, map(id, value)))
         arr = _frozen(value)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"{name}: not a matrix or a sequence of matrices") from exc
@@ -82,9 +89,9 @@ class DescriptorModel:
     tau : int
         Horizon; matrices F, H, S, R have tau+1 entries, C has tau.
     F, C, H, S, R : tuple of numpy.ndarray
-        Matrix sequences as described in the module docstring, read-only
-        when built by :meth:`from_sequences`, :func:`matrix_sequence` or the
-        file loader, so the estimator schedule kept on the model (see
+        Matrix sequences as described in the module docstring.  However
+        the model is built, they are read-only (see :func:`matrix_sequence`),
+        so the estimator schedule kept on the model (see
         ``estimator.schedule``) cannot go stale.
     """
 
@@ -100,19 +107,19 @@ class DescriptorModel:
     # Last estimator schedule, (rank_tol, links); written only by estimator.schedule.
     _schedule: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
+    def __post_init__(self):
+        for name in ("F", "C", "H", "S", "R"):
+            object.__setattr__(self, name, matrix_sequence(getattr(self, name), name))
+
     @classmethod
     def from_sequences(cls, F, C, H, S, R) -> "DescriptorModel":
         """Build a model from matrix sequences, inferring (n, m, p, tau).
 
         Dimensions come from the leading matrices; later entries are not
-        checked here, so :func:`validate` can report every mismatch.  Each
-        distinct matrix object is copied once into a read-only array.
+        checked here, so :func:`validate` can report every mismatch.
         """
         F = matrix_sequence(F, "F")
-        C = matrix_sequence(C, "C")
         H = matrix_sequence(H, "H")
-        S = matrix_sequence(S, "S")
-        R = matrix_sequence(R, "R")
         if not F or not H:
             raise DimensionMismatch("F and H must have at least one entry")
         m, n = F[0].shape
@@ -157,12 +164,20 @@ class ValidationReport:
         return "ok" if self.ok else "; ".join(self.issues)
 
 
-def _weight_issue(mat, dim):
-    """What is wrong with one weight matrix, or None."""
-    if mat.shape != (dim, dim):
-        return f"dimension mismatch: got {mat.shape}, expected {(dim, dim)}"
+def _matrix_issue(mat, shape):
+    """What is wrong with one model matrix of the given shape, or None."""
+    if mat.shape != shape:
+        return f"dimension mismatch: got {mat.shape}, expected {shape}"
     if not np.all(np.isfinite(mat)):
         return "has non-finite entries"
+    return None
+
+
+def _weight_issue(mat, shape):
+    """What is wrong with one weight matrix of the given shape, or None."""
+    issue = _matrix_issue(mat, shape)
+    if issue is not None:
+        return issue
     if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(mat).max()))):
         return "not symmetric"
     smallest = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
@@ -175,7 +190,7 @@ def validate(model: DescriptorModel) -> ValidationReport:
     """Check shapes, finiteness and weight positivity; never raises.
 
     Every finding is reported, so a single call lists all dimension
-    mismatches and all non-positive-definite weights at once.  A weight
+    mismatches and all non-positive-definite weights at once.  A matrix
     object shared by several steps is checked once and reported under
     each of its names.
     """
@@ -183,29 +198,22 @@ def validate(model: DescriptorModel) -> ValidationReport:
     n, m, p, tau = model.n, model.m, model.p, model.tau
     if min(n, m, p) < 1 or tau < 0:
         issues.append(f"bad dimensions n={n} m={m} p={p} tau={tau}")
-    for name, seq, count in (
-        ("F", model.F, tau + 1),
-        ("C", model.C, tau),
-        ("H", model.H, tau + 1),
-        ("S", model.S, tau + 1),
-        ("R", model.R, tau + 1),
-    ):
+    fields = (
+        ("F", model.F, tau + 1, (m, n), _matrix_issue),
+        ("C", model.C, tau, (m, n), _matrix_issue),
+        ("H", model.H, tau + 1, (p, n), _matrix_issue),
+        ("S", model.S, tau + 1, (m, m), _weight_issue),
+        ("R", model.R, tau + 1, (p, p), _weight_issue),
+    )
+    for name, seq, count, _, _ in fields:
         if len(seq) != count:
             issues.append(f"{name} has {len(seq)} entries, expected {count}")
-    for name, seq, shape in (("F", model.F, (m, n)), ("C", model.C, (m, n)), ("H", model.H, (p, n))):
-        for k, mat in enumerate(seq):
-            if mat.shape != shape:
-                issues.append(
-                    f"{name}_{k} dimension mismatch: got {mat.shape}, expected {shape}"
-                )
-            elif not np.all(np.isfinite(mat)):
-                issues.append(f"{name}_{k} has non-finite entries")
     checked = {}
-    for name, seq, dim in (("S", model.S, m), ("R", model.R, p)):
+    for name, seq, _, shape, check in fields:
         for k, mat in enumerate(seq):
-            key = (id(mat), dim)
+            key = (id(mat), shape, check)
             if key not in checked:
-                checked[key] = _weight_issue(mat, dim)
+                checked[key] = check(mat, shape)
             if checked[key] is not None:
                 issues.append(f"{name}_{k} {checked[key]}")
     return ValidationReport(issues=tuple(issues))

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from daeminimax import cli, demo
-from daeminimax.formats import read_table, write_table
+from conftest import feasible_data, random_model
+from daeminimax import cli, demo, estimator
+from daeminimax.formats import load_model_file, measurement_rows, read_table, write_table
 
 
 def write_json(path, doc):
@@ -108,6 +109,49 @@ def test_estimate_rejects_bad_direction(scalar_setup, tmp_path, capsys):
     assert "direction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_estimate_rejects_nonfinite_direction_before_any_work(scalar_setup, tmp_path, capsys,
+                                                              text):
+    spec, ys = scalar_setup
+    out = tmp_path / "est.csv"
+    rc = cli.main(["estimate", "--spec", spec, "--measurements", ys,
+                   "--out", str(out), f"--direction={text}"])
+    assert rc == 2
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_estimate_rows_equal_per_state_queries(tmp_path):
+    # Noncausal (m + p < n), so every P_k is singular and e_0 is unobservable.
+    rng = np.random.default_rng(46)
+    model = random_model(rng, n=4, m=2, p=1, tau=6)
+    ys = feasible_data(rng, model)[3]
+    doc = {"n": 4, "m": 2, "p": 1, "tau": 6,
+           **{name: [mat.tolist() for mat in getattr(model, name)] for name in "FCHSR"}}
+    spec = write_json(tmp_path / "model.json", doc)
+    meas = tmp_path / "ys.csv"
+    write_table(meas, ["k", "y0"], [[k, y[0]] for k, y in enumerate(ys)])
+    loaded, _ = load_model_file(spec)
+    states = estimator.run(loaded, measurement_rows(meas, loaded))
+    directions = [np.eye(4)[0], estimator.estimate(states[-1]).basis[:, 0]]
+    out = tmp_path / "est.csv"
+    argv = ["estimate", "--spec", spec, "--measurements", str(meas), "--out", str(out)]
+    for ell in directions:
+        argv.append("--direction=" + ",".join(repr(float(v)) for v in ell))
+    assert cli.main(argv) == 0
+    _, rows = read_table(out)
+    expected = []
+    for state in states:
+        report = estimator.estimate(state)
+        row = [state.k, *report.xhat, report.beta]
+        for ell in directions:
+            value, radius = float(ell @ report.xhat), estimator.ell_error(state, ell)
+            row += [value, value - radius, value + radius, float(radius < math.inf)]
+        expected.append(row)
+    assert rows == expected
+    assert math.isinf(rows[-1][7]) and math.isfinite(rows[-1][11])
+
+
 @pytest.mark.parametrize("body", [
     "k,y0\n0,1.0\nnan,1.0\n",   # non-finite step index
     "k,y0\n0,1.0\ninf,1.0\n",
@@ -133,7 +177,11 @@ def test_estimate_bad_measurement_cell_exits_2(scalar_setup, tmp_path, capsys, b
     "(lambda: 1.0)()",
     "gamma(k)",
     "__import__('os')",
-], ids=["attribute", "subscript", "lambda", "unknown-name", "builtin"])
+    "9**9**9",                              # exact integer powers would not finish
+    "floor(9.0)**floor(9.0)**floor(9.0)",
+    "10**200 * 10**200",                    # overflows to inf
+], ids=["attribute", "subscript", "lambda", "unknown-name", "builtin",
+        "power-tower", "floor-power-tower", "non-finite"])
 def test_expression_outside_whitelist_exits_2(tmp_path, capsys, expr):
     doc = scalar_doc(tau=1)
     doc["g"] = [expr]

@@ -198,3 +198,30 @@ def test_measurement_rows_wrong_y_count(tmp_path):
     formats.write_table(path, ["k", "y0", "y1"], [[0, 1.0, 2.0]])
     with pytest.raises(ParseError, match="y-columns"):
         formats.measurement_rows(path, model)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("k,y0\n0,1.0\n1.7,1.0\n", "step index 1.7 is not an integer"),
+    ("k,y0\n0,1.0\nnan,1.0\n", "step index nan is not an integer"),
+    ("k,y0\n0,1.0\n-inf,1.0\n", "step index -inf is not an integer"),
+    ("k,y0\n0,1.0\n2,1.0\n", "step index 2 outside 0..1 or repeated"),
+    ("k,y0\n1,1.0\n1,1.0\n", "step index 1 outside 0..1 or repeated"),
+    ("k,y0\n1,1.0\n0,nan\n", "non-finite measurement at k = 0"),
+    ("k,y0\n0,1.0\n1\n", "a row has 1 cells, header has 2"),
+], ids=["fraction", "nan", "inf", "outside", "repeated", "y-nan", "short-row"])
+def test_measurement_rows_error_messages(tmp_path, body, message):
+    model, _ = formats.load_model(scalar_doc(tau=1))
+    path = tmp_path / "ys.csv"
+    path.write_text(body)
+    with pytest.raises(ParseError) as info:
+        formats.measurement_rows(path, model)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("g", [["1e308 * 10"], [1.0, float("inf")], [float("nan"), 0.0]],
+                         ids=["expression", "inf", "nan"])
+def test_load_model_rejects_non_finite_inputs(g):
+    doc = scalar_doc(tau=1)
+    doc["g"] = g
+    with pytest.raises(ParseError, match="'g' has non-finite entries"):
+        formats.load_model(doc)
