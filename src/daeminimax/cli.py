@@ -68,11 +68,7 @@ def cmd_simulate(args) -> int:
         inputs = {key: override[key] if override[key] is not None else inputs[key]
                   for key in inputs}
     traj = simulate(model, inputs["f"], inputs["g"], inputs["w"])
-    used = budget(
-        model,
-        inputs["f"] if inputs["f"] is not None else np.zeros((model.tau + 1, model.m)),
-        inputs["g"] if inputs["g"] is not None else np.zeros((model.tau + 1, model.p)),
-    )
+    used = budget(model, inputs["f"], inputs["g"])
     header = (
         ["k"]
         + [f"x{i}" for i in range(model.n)]
@@ -101,10 +97,8 @@ def cmd_estimate(args) -> int:
     for j in range(len(directions)):
         header += [f"dir{j}_value", f"dir{j}_low", f"dir{j}_high", f"dir{j}_observable"]
     rows = []
-    final = None
     for state in states:
-        report = estimator.estimate(state, args.rank_tol)
-        final = report
+        report = estimator.estimate(state)
         row = [state.k, *report.xhat, report.beta]
         for ell in directions:
             value = float(ell @ report.xhat)
@@ -119,13 +113,13 @@ def cmd_estimate(args) -> int:
         rows.append(row)
     write_table(args.out, header, rows)
     summary = {
-        "final_rank": final.observable_rank,
-        "noncausality_index": final.noncausality_index,
-        "consistent": final.consistent,
-        "final_beta": final.beta,
+        "final_rank": report.observable_rank,
+        "noncausality_index": report.noncausality_index,
+        "consistent": report.consistent,
+        "final_beta": report.beta,
     }
     print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK if final.consistent else EXIT_DATA
+    return EXIT_OK if report.consistent else EXIT_DATA
 
 
 def cmd_observability(args) -> int:
@@ -154,7 +148,7 @@ def cmd_compare(args) -> int:
         kstates = kalman.run_kalman(model, ys, args.rank_tol)
         print("k,state_discrepancy")
         for state, kstate in zip(states, kstates):
-            disc = float(np.linalg.norm(estimator.estimate(state, args.rank_tol).xhat - kstate.x))
+            disc = float(np.linalg.norm(estimator.estimate(state).xhat - kstate.x))
             worst = max(worst, disc)
             print(f"{state.k},{format_number(disc)}")
     else:
@@ -165,7 +159,7 @@ def cmd_compare(args) -> int:
             xlast = solution.xstack[-model.n :]
             proj = range_projector(state.P, args.rank_tol)
             xhat = pinv(state.P, args.rank_tol) @ state.r
-            report = estimator.estimate(state, args.rank_tol)
+            report = estimator.estimate(state)
             disc_x = float(np.linalg.norm(proj @ xlast - xhat))
             disc_b = abs(report.beta - (1.0 - solution.minI))
             worst = max(worst, disc_x, disc_b)
@@ -189,9 +183,9 @@ def cmd_reproduce(args) -> int:
 
     truth_rows, estimate_rows, bound_rows = [], [], []
     worst_centering = 0.0
-    indices = [estimator.estimate(states[0], rank_tol).noncausality_index]
+    indices = [estimator.estimate(states[0]).noncausality_index]
     for k in range(1, horizon + 1):
-        report = estimator.estimate(states[k], rank_tol)
+        report = estimator.estimate(states[k])
         indices.append(report.noncausality_index)
         est_row, bnd_row = [k], [k]
         for ell in directions.values():
@@ -257,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(func=func)
         cmd.add_argument("--rank-tol", type=float, default=0.0,
-                         help="relative singular-value cutoff (0 = machine default)")
+                         help="relative singular-value cutoff, finite and >= 0 "
+                              "(0 = machine default); fixed for the whole run")
         return cmd
 
     cmd = add("simulate", cmd_simulate, "roll a model forward and write the trajectory")
@@ -292,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 0.0 <= args.rank_tol < math.inf:
+            raise ParseError(f"--rank-tol must be finite and nonnegative, got {args.rank_tol}")
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

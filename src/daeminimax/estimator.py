@@ -34,8 +34,9 @@ compute and apply one link each, through the same code.  Only the
 schedule goes through ``symmetrize``, so an ``AsymmetryWarning`` comes
 once per model and cutoff, not once per run.
 
-Each state holds (V_r, lam_r), and its ``P`` is assembled from them on
-request.  :func:`estimate` solves a state once from them:
+Each state holds (V_r, lam_r) and the run's ``rank_tol`` they were kept
+under, and its ``P`` is assembled from them on request.  :func:`estimate`
+solves a state once from them, at that cutoff:
 xhat = V_r (V_r' r / lam_r), rank = len(lam_r), projector V_r V_r'; its
 report keeps the eigenpairs, so :func:`radius` answers every direction
 without solving again.  Each link factors S_k as W'W by Cholesky instead
@@ -101,8 +102,9 @@ def _assemble(V: np.ndarray, lam: np.ndarray) -> np.ndarray:
 class FilterState:
     """Sufficient statistic (P_k, r_k, alpha_k) after step k.
 
-    ``V`` and ``lam`` are the kept eigenpairs of P_k; every set query reads
-    them, and ``P`` is assembled from them on request.
+    ``V`` and ``lam`` are the read-only kept eigenpairs of P_k under the
+    run's cutoff ``rank_tol``; every set query reads them, and ``P`` is
+    assembled from them on request.
     """
 
     k: int
@@ -110,6 +112,7 @@ class FilterState:
     alpha: float
     V: np.ndarray
     lam: np.ndarray
+    rank_tol: float
 
     @property
     def P(self) -> np.ndarray:
@@ -122,7 +125,7 @@ class EstimateReport:
     """Central estimate and the shape of the informational set at one step.
 
     ``basis`` has orthonormal columns spanning range(P_k), ``lam`` holds
-    the eigenvalues of P_k paired with them, and ``rank_tol`` is the query
+    the eigenvalues of P_k paired with them, and ``rank_tol`` is the run's
     cutoff they were kept under; :func:`radius` reads all three.
     """
 
@@ -266,15 +269,20 @@ def _link(V_prev, lam_prev, model: DescriptorModel, k: int, rank_tol: float,
             f"step {k}: P lost positive semidefiniteness (min eigenvalue {eigs[0]:.3e})"
         )
     keep = eigs > relative_cutoff(rank_tol, P.shape) * top
-    return Link(V=vecs[:, keep], lam=eigs[keep], E=E, L=L, HtR=prod.HtR, R=prod.R)
+    link = Link(V=vecs[:, keep], lam=eigs[keep], E=E, L=L, HtR=prod.HtR, R=prod.R)
+    # States and reports hand these arrays out, and the model keeps them.
+    for arr in (link.V, link.lam, link.E, link.L, link.HtR):
+        arr.flags.writeable = False
+    return link
 
 
-def _apply(link: Link, k: int, r: np.ndarray, alpha: float, y: np.ndarray) -> FilterState:
+def _apply(link: Link, k: int, r: np.ndarray, alpha: float, y: np.ndarray,
+           rank_tol: float) -> FilterState:
     """The data pass of step k: no factorization."""
     u = link.E.T @ r
     r = link.L @ u + link.HtR @ y
     alpha = alpha + qform(link.R, y) - float(u @ u)
-    return FilterState(k=k, r=r, alpha=alpha, V=link.V, lam=link.lam)
+    return FilterState(k=k, r=r, alpha=alpha, V=link.V, lam=link.lam, rank_tol=rank_tol)
 
 
 def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
@@ -306,15 +314,15 @@ def init(model: DescriptorModel, y0, rank_tol: float = 0.0) -> FilterState:
     """State of the recursion after absorbing the k = 0 data.
 
     P_0 = F_0' S_0 F_0 + H_0' R_0 H_0,  r_0 = H_0' R_0 y_0,
-    alpha_0 = <R_0 y_0, y_0>.
+    alpha_0 = <R_0 y_0, y_0>, at the cutoff ``rank_tol`` of the whole chain.
     """
     y0 = as_rows(y0, 1, model.p, "y_0")[0]
     link = _link(None, None, model, 0, rank_tol, _products(model, 0))
-    return _apply(link, 0, np.zeros(model.n), 0.0, y0)
+    return _apply(link, 0, np.zeros(model.n), 0.0, y0, rank_tol)
 
 
-def step(state: FilterState, model: DescriptorModel, y, rank_tol: float = 0.0) -> FilterState:
-    """Advance the recursion from step k-1 to k with measurement y_k.
+def step(state: FilterState, model: DescriptorModel, y) -> FilterState:
+    """Advance the chain from step k-1 to k with y_k, at its cutoff ``state.rank_tol``.
 
     The transition equation F_k x_k - C_{k-1} x_{k-1} = f_k carries the
     weight S_k, matching the index the budget assigns to f_k.  With
@@ -332,8 +340,8 @@ def step(state: FilterState, model: DescriptorModel, y, rank_tol: float = 0.0) -
     if k > model.tau:
         raise DimensionMismatch(f"step {k} is beyond the model horizon {model.tau}")
     y = as_rows(y, 1, model.p, f"y_{k}")[0]
-    link = _link(state.V, state.lam, model, k, rank_tol, _products(model, k))
-    return _apply(link, k, state.r, state.alpha, y)
+    link = _link(state.V, state.lam, model, k, state.rank_tol, _products(model, k))
+    return _apply(link, k, state.r, state.alpha, y, state.rank_tol)
 
 
 def run(model: DescriptorModel, ys, rank_tol: float = 0.0) -> list:
@@ -343,7 +351,7 @@ def run(model: DescriptorModel, ys, rank_tol: float = 0.0) -> list:
     r, alpha = np.zeros(model.n), 0.0
     states = []
     for k, link in enumerate(schedule(model, rank_tol)):
-        states.append(_apply(link, k, r, alpha, ys[k]))
+        states.append(_apply(link, k, r, alpha, ys[k], rank_tol))
         r, alpha = states[-1].r, states[-1].alpha
     return states
 
@@ -360,7 +368,7 @@ def _require_consistent(report: EstimateReport) -> None:
         raise InconsistentData(f"beta = {report.beta:.3e} below -{BETA_TOL:g}")
 
 
-def estimate(state: FilterState, rank_tol: float = 0.0) -> EstimateReport:
+def estimate(state: FilterState) -> EstimateReport:
     """Central estimate, consistency value beta and observability summary.
 
     xhat = pinv(P) r lies in range(P) by construction;
@@ -368,16 +376,12 @@ def estimate(state: FilterState, rank_tol: float = 0.0) -> EstimateReport:
     falls below -BETA_TOL, meaning no trajectory within the unit budget
     can produce the processed measurements.
 
-    The state already holds P's eigenpairs above the run's cutoff; a
-    stricter query cutoff drops more of them through the same rule.
+    The state holds P's eigenpairs above the run's cutoff:
     xhat = V (V'r / lam) and beta = 1 - alpha + |V'r / sqrt(lam)|^2.  The
     report keeps the eigenpairs, so :func:`radius` answers any direction
     from it without solving again.
     """
     V, lam = state.V, state.lam
-    if lam.size:
-        keep = lam > relative_cutoff(rank_tol, state.r.shape) * float(lam[-1])
-        V, lam = V[:, keep], lam[keep]
     u = (V.T @ state.r) / np.sqrt(lam)
     beta = 1.0 - state.alpha + float(u @ u)
     return EstimateReport(
@@ -385,7 +389,7 @@ def estimate(state: FilterState, rank_tol: float = 0.0) -> EstimateReport:
         beta=beta,
         basis=V,
         lam=lam,
-        rank_tol=rank_tol,
+        rank_tol=state.rank_tol,
         observable_rank=lam.size,
         noncausality_index=state.r.size - lam.size,
         consistent=beta >= -BETA_TOL,
@@ -417,16 +421,16 @@ def radius(report: EstimateReport, ell: np.ndarray) -> float:
     return sqrt(max(report.beta, 0.0) * float(c @ (c / report.lam)))
 
 
-def ell_error(state: FilterState, ell, rank_tol: float = 0.0) -> float:
+def ell_error(state: FilterState, ell) -> float:
     """Worst-case error of the estimate in direction ell: :func:`radius`
     of :func:`estimate`, after checking that ell is a finite vector of
     length n.
     """
     ell = _checked(state, ell, "ell")
-    return radius(estimate(state, rank_tol), ell)
+    return radius(estimate(state), ell)
 
 
-def direction_bounds(state: FilterState, ell, rank_tol: float = 0.0):
+def direction_bounds(state: FilterState, ell):
     """Guaranteed interval for <ell, x_tau> over the informational set.
 
     Returns ``(low, high)`` with midpoint <ell, xhat>.
@@ -440,7 +444,7 @@ def direction_bounds(state: FilterState, ell, rank_tol: float = 0.0):
         If beta < -BETA_TOL.
     """
     ell = _checked(state, ell, "ell")
-    report = estimate(state, rank_tol)
+    report = estimate(state)
     half = radius(report, ell)
     if half == inf:
         raise OutsideObservable("direction outside the observable subspace")
@@ -448,14 +452,14 @@ def direction_bounds(state: FilterState, ell, rank_tol: float = 0.0):
     return center - half, center + half
 
 
-def membership(state: FilterState, x, rank_tol: float = 0.0) -> bool:
+def membership(state: FilterState, x) -> bool:
     """Whether x belongs to the informational set X(k).
 
     Tests <P (x - xhat), x - xhat> <= beta + MEMBERSHIP_SLACK; directions
     in the null space of P are unconstrained, as in X(k) itself.
     """
     x = _checked(state, x, "x")
-    report = estimate(state, rank_tol)
+    report = estimate(state)
     _require_consistent(report)
     c = report.basis.T @ (x - report.xhat)
     return float(c @ (report.lam * c)) <= report.beta + MEMBERSHIP_SLACK

@@ -87,8 +87,8 @@ def as_rows(a, count: int, width: int, name: str = "rows") -> np.ndarray:
 
 def relative_cutoff(rank_tol: float, shape) -> float:
     """The shared relative cutoff: ``rank_tol``, or ``eps * max(shape)`` when 0."""
-    if rank_tol < 0:
-        raise InvalidMatrix("rank_tol must be nonnegative")
+    if not 0.0 <= rank_tol < np.inf:
+        raise InvalidMatrix(f"rank_tol must be finite and nonnegative, got {rank_tol}")
     return rank_tol if rank_tol > 0 else EPS * max(shape)
 
 
@@ -161,14 +161,16 @@ def symmetrize(a, warn_tol: float = 1e-8) -> np.ndarray:
     """Return ``(a + a.T) / 2``.
 
     Emits :class:`AsymmetryWarning` when the skew part is large relative
-    to the matrix itself, ``||a - a.T|| > warn_tol * max(1, ||a||)``,
-    which signals a drifting recursion rather than ordinary roundoff.
+    to the matrix itself, ``max|a - a.T| > warn_tol * max(1, max|a|)``
+    (largest entries cannot overflow, unlike Frobenius norms), which
+    signals a drifting recursion rather than ordinary roundoff.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"symmetrize needs a square matrix, got {m.shape}")
-    skew = float(np.linalg.norm(m - m.T))
-    if skew > warn_tol * max(1.0, float(np.linalg.norm(m))):
+    skew = float(np.abs(m - m.T).max(initial=0.0))
+    # max(1, max|a|) >= 1, so a skew at or below warn_tol needs no second look.
+    if skew > warn_tol and skew > warn_tol * float(np.abs(m).max()):
         warnings.warn(
             f"asymmetry {skew:.3e} above warn threshold", AsymmetryWarning, stacklevel=2
         )

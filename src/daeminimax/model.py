@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentDynamics
-from .linalg import pinv, qform
+from .linalg import as_rows, pinv, qform
 
 __all__ = [
     "SIM_RESIDUAL_TOL",
@@ -220,17 +220,8 @@ def validate(model: DescriptorModel) -> ValidationReport:
 
 
 def _input_rows(value, count: int, dim: int, name: str) -> np.ndarray:
-    if value is None:
-        return np.zeros((count, dim))
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 1:
-        if dim == 1:
-            arr = arr.reshape(-1, 1)
-        elif count == 1:
-            arr = arr.reshape(1, -1)
-    if arr.shape != (count, dim):
-        raise DimensionMismatch(f"{name}: got shape {arr.shape}, expected {(count, dim)}")
-    return arr
+    """Zeros when ``value`` is None, else :func:`linalg.as_rows` of it."""
+    return np.zeros((count, dim)) if value is None else as_rows(value, count, dim, name)
 
 
 def simulate(model: DescriptorModel, f, g, w=None) -> Trajectory:
@@ -258,6 +249,8 @@ def simulate(model: DescriptorModel, f, g, w=None) -> Trajectory:
 
     Raises
     ------
+    InvalidMatrix, DimensionMismatch
+        If an input is not a finite array of its shape.
     InconsistentDynamics
         If at some step the right side lies outside the range of F and no
         exact solution exists (residual above ``SIM_RESIDUAL_TOL``).
@@ -288,7 +281,7 @@ def budget(model: DescriptorModel, f, g) -> float:
     """Value of the uncertainty functional sum_k <S_k f_k, f_k> + <R_k g_k, g_k>.
 
     The model guarantees hold when this does not exceed 1; the value is
-    reported as-is and never clamped.
+    reported as-is and never clamped.  Inputs are checked as in :func:`simulate`.
     """
     f = _input_rows(f, model.tau + 1, model.m, "f")
     g = _input_rows(g, model.tau + 1, model.p, "g")

@@ -139,23 +139,21 @@ def test_acceptance_6_demonstration_model():
     # and no information survives transport through the dynamics: two
     # directions are lost at step 0 and three at every later step.
     indices = [
-        estimator.estimate(s, rank_tol=demo.RANK_TOL).noncausality_index
+        estimator.estimate(s).noncausality_index
         for s in states
     ]
     assert indices == [2] + [3] * horizon, f"index schedule {indices[:5]}..."
 
     final = states[-1]
     for direction in ([0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1.0, -2.0], [0, 1, 0, 0]):
-        err = estimator.ell_error(
-            final, np.array(direction, dtype=float), rank_tol=demo.RANK_TOL
-        )
+        err = estimator.ell_error(final, np.array(direction, dtype=float))
         assert math.isinf(err), f"direction {direction} should be unobservable"
 
     worst = 0.0
     measured = np.array([1.0, 0.0, 0.0, 0.0])
     for state in states:
-        low, high = estimator.direction_bounds(state, measured, rank_tol=demo.RANK_TOL)
-        center = float(measured @ estimator.estimate(state, rank_tol=demo.RANK_TOL).xhat)
+        low, high = estimator.direction_bounds(state, measured)
+        center = float(measured @ estimator.estimate(state).xhat)
         assert math.isfinite(low) and math.isfinite(high)
         worst = max(worst, abs(center - 0.5 * (low + high)))
     assert worst <= 1e-12, f"centering residual {worst:.3e} above 1e-12"

@@ -303,6 +303,27 @@ def test_compare_absurd_rank_tol_exits_1(tmp_path, capsys):
     assert float(out.strip().splitlines()[-1].split(",")[1]) > 1e-8
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["simulate", "estimate", "observability", "compare",
+                                     "reproduce-example"])
+def test_bad_rank_tol_exits_2_before_any_work(scalar_setup, tmp_path, capsys, command, value):
+    spec, ys = scalar_setup
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["--spec", spec, "--out", str(out)],
+        "estimate": ["--spec", spec, "--measurements", ys, "--out", str(out)],
+        "observability": ["--spec", spec],
+        "compare": ["--spec", spec, "--measurements", ys],
+        "reproduce-example": ["--out-dir", str(out)],
+    }[command]
+    rc = cli.main([command, *argv, f"--rank-tol={value}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert not out.exists()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --rank-tol must be finite and nonnegative")
+
+
 # --- round trip --------------------------------------------------------
 
 def test_simulate_then_estimate_round_trip(tmp_path, capsys):

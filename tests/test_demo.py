@@ -48,7 +48,7 @@ def test_noncausality_index_schedule():
     _, y = demo.plant_trajectory(tau)
     states = estimator.run(built, y, rank_tol=demo.RANK_TOL)
     indices = [
-        estimator.estimate(s, rank_tol=demo.RANK_TOL).noncausality_index for s in states
+        estimator.estimate(s).noncausality_index for s in states
     ]
     assert indices == [2] + [3] * tau
 
@@ -61,11 +61,9 @@ def test_observable_and_unobservable_directions():
     final = states[-1]
     for direction in ([0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]):
         assert math.isinf(
-            estimator.ell_error(final, np.array(direction, float), rank_tol=demo.RANK_TOL)
+            estimator.ell_error(final, np.array(direction, float))
         )
-    measured = estimator.ell_error(
-        final, np.array([1.0, 0, 0, 0]), rank_tol=demo.RANK_TOL
-    )
+    measured = estimator.ell_error(final, np.array([1.0, 0, 0, 0]))
     assert math.isfinite(measured) and measured >= 0.0
 
 
@@ -75,7 +73,7 @@ def test_estimate_tracks_measured_coordinate():
     _, y = demo.plant_trajectory(tau)
     states = estimator.run(built, y, rank_tol=demo.RANK_TOL)
     for k in range(1, tau + 1):
-        xhat = estimator.estimate(states[k], rank_tol=demo.RANK_TOL).xhat
+        xhat = estimator.estimate(states[k]).xhat
         # All information past step 0 comes from the current measurement,
         # so the estimate is y_k on the measured coordinate, 0 elsewhere.
         assert xhat[0] == pytest.approx(y[k], abs=1e-9)
@@ -89,8 +87,8 @@ def test_bounds_centering_on_measured_coordinate():
     states = estimator.run(built, y, rank_tol=demo.RANK_TOL)
     ell = np.array([1.0, 0, 0, 0])
     for state in states[1:]:
-        low, high = estimator.direction_bounds(state, ell, rank_tol=demo.RANK_TOL)
-        xhat = estimator.estimate(state, rank_tol=demo.RANK_TOL).xhat
+        low, high = estimator.direction_bounds(state, ell)
+        xhat = estimator.estimate(state).xhat
         assert abs(0.5 * (low + high) - float(ell @ xhat)) <= 1e-12
 
 

@@ -4,6 +4,7 @@ model-only schedule kept on the model, and the invariance of the set under
 changes of state coordinates and of equation rows."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -12,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import feasible_data, random_model, random_psd_weight, well_conditioned_instance
-from daeminimax import demo, estimator, formats
+from daeminimax import batch, demo, estimator, formats
 from daeminimax.linalg import EPS, pinv, qform, range_projector, sym_rank, symmetrize
-from daeminimax.model import DescriptorModel, validate
+from daeminimax.model import DescriptorModel, truncate, validate
 
 FACTORIZATIONS = ("cholesky", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
                   "pinv", "qr", "solve", "svd")
@@ -46,7 +47,6 @@ def test_queries_make_no_factorization(factorizations):
                 estimator.ell_error(state, ell)
             estimator.direction_bounds(state, report.basis[:, -1])
             estimator.membership(state, x)
-            estimator.estimate(state, rank_tol=1e-3)
         assert sum(factorizations.values()) == 0, dict(factorizations)
 
 
@@ -91,19 +91,22 @@ def test_validate_reports_a_shared_bad_weight_under_every_name():
 
 
 def test_stricter_query_cutoff_drops_more_eigenpairs():
-    # P_0 = diag(2, 1e-4): a relative query cutoff of 1e-3 drops the second direction.
+    # P_0 = diag(2, 1e-4): a run at the relative cutoff 1e-3 drops the second
+    # direction, and every query of its states answers at that cutoff.
     model = DescriptorModel.constant(np.diag([1.0, 1e-2]), np.zeros((2, 2)),
                                      np.array([[1.0, 0.0]]), np.eye(2), np.eye(1), tau=0)
     state = estimator.init(model, np.array([0.5]))
+    stricter = estimator.init(model, np.array([0.5]), 1e-3)
     e2 = np.array([0.0, 1.0])
     assert estimator.estimate(state).observable_rank == 2
     assert estimator.ell_error(state, e2) == pytest.approx(math.sqrt(0.875e4), rel=1e-12)
-    strict = estimator.estimate(state, rank_tol=1e-3)
+    strict = estimator.estimate(stricter)
+    assert strict.rank_tol == stricter.rank_tol == 1e-3
     assert strict.observable_rank == sym_rank(state.P, 1e-3) == 1
     assert np.allclose(strict.projector, np.diag([1.0, 0.0]), atol=1e-15)
     assert np.allclose(strict.xhat, pinv(state.P, 1e-3) @ state.r, atol=1e-15)
-    assert math.isinf(estimator.ell_error(state, e2, rank_tol=1e-3))
-    assert estimator.membership(state, np.array([0.25, 1e3]), rank_tol=1e-3)
+    assert math.isinf(estimator.ell_error(stricter, e2))
+    assert estimator.membership(stricter, np.array([0.25, 1e3]))
     assert not estimator.membership(state, np.array([0.25, 1e3]))
 
 
@@ -151,8 +154,9 @@ def test_factored_queries_match_dense_route(seed, noncausal):
 
 def _same_states(got, want) -> bool:
     return len(got) == len(want) and all(
-        a.k == b.k and a.alpha == b.alpha and np.array_equal(a.r, b.r)
-        and np.array_equal(a.V, b.V) and np.array_equal(a.lam, b.lam)
+        a.k == b.k and a.alpha == b.alpha and a.rank_tol == b.rank_tol
+        and np.array_equal(a.r, b.r) and np.array_equal(a.V, b.V)
+        and np.array_equal(a.lam, b.lam)
         for a, b in zip(got, want)
     )
 
@@ -165,6 +169,18 @@ def test_run_equals_init_step_chain_bit_for_bit(seed, noncausal):
     for k in range(1, model.tau + 1):
         chain.append(estimator.step(chain[-1], model, ys[k]))
     assert _same_states(estimator.run(model, ys), chain)
+
+
+def test_chain_keeps_the_cutoff_of_init():
+    # At the default cutoff the demo keeps a spurious second eigenpair at k = 1
+    # and 5; a chain started at RANK_TOL must not fall back to it at any step.
+    model = demo.build_model(8)
+    ys = demo.plant_trajectory(8)[1]
+    chain = [estimator.init(model, ys[0], demo.RANK_TOL)]
+    for k in range(1, model.tau + 1):
+        chain.append(estimator.step(chain[-1], model, ys[k]))
+    assert all(state.rank_tol == demo.RANK_TOL for state in chain)
+    assert _same_states(chain, estimator.run(demo.build_model(8), ys, demo.RANK_TOL))
 
 
 def test_second_run_on_a_model_factorizes_nothing(factorizations):
@@ -186,9 +202,24 @@ def test_run_with_another_cutoff_recomputes_like_a_fresh_model():
     default = estimator.run(model, ys)
     pinned = estimator.run(model, ys, demo.RANK_TOL)
     assert _same_states(pinned, estimator.run(demo.build_model(8), ys, demo.RANK_TOL))
-    assert [estimator.estimate(s, demo.RANK_TOL).noncausality_index for s in pinned[:2]] == [2, 3]
+    assert [estimator.estimate(s).noncausality_index for s in pinned[:2]] == [2, 3]
     assert estimator.estimate(default[1]).noncausality_index == 2
     assert _same_states(estimator.run(model, ys), default)
+
+
+def test_run_arrays_are_read_only():
+    one = np.array([[1.0]])
+    model = DescriptorModel.constant(one, one, one, one, one, tau=1)
+    ys = np.array([1.0, 1.0])
+    state = estimator.run(model, ys)[-1]
+    report = estimator.estimate(state)
+    for arr in (state.lam, state.V, report.basis, report.lam):
+        with pytest.raises(ValueError):
+            arr[0] = 100.0
+    fresh = DescriptorModel.constant(one, one, one, one, one, tau=1)
+    want = estimator.estimate(estimator.run(fresh, ys)[-1]).xhat
+    assert want == pytest.approx([0.8], abs=1e-12)
+    assert np.array_equal(estimator.estimate(estimator.run(model, ys)[-1]).xhat, want)
 
 
 def test_model_matrices_are_read_only():
@@ -298,7 +329,7 @@ def test_change_of_state_coordinates(seed, noncausal):
     moved = _transformed(model, F=right, C=right, H=right)
     tol = INVARIANCE_RANK_TOL
     for state, other in zip(estimator.run(model, ys, tol), estimator.run(moved, ys, tol)):
-        want, got = estimator.estimate(state, tol), estimator.estimate(other, tol)
+        want, got = estimator.estimate(state), estimator.estimate(other)
         assert _close(got.xhat, got.projector @ np.linalg.solve(T, want.xhat))
         assert _close(got.beta, want.beta)
         assert got.noncausality_index == want.noncausality_index
@@ -315,7 +346,51 @@ def test_change_of_equation_rows(seed, noncausal):
     moved = _transformed(model, F=left, C=left, S=lambda S: symmetrize(Ui.T @ S @ Ui))
     tol = INVARIANCE_RANK_TOL
     for state, other in zip(estimator.run(model, ys, tol), estimator.run(moved, ys, tol)):
-        want, got = estimator.estimate(state, tol), estimator.estimate(other, tol)
+        want, got = estimator.estimate(state), estimator.estimate(other)
         assert _close(got.xhat, want.xhat)
         assert _close(got.beta, want.beta)
         assert got.noncausality_index == want.noncausality_index
+
+
+def _degenerate(model, ys, kind):
+    """The model with horizon 0, with every F zero, or with every H zero."""
+    if kind == "tau=0":
+        return truncate(model, 0), ys[:1]
+    zero = lambda mat: np.zeros_like(mat)  # noqa: E731
+    return _transformed(model, **{kind[0]: zero}), ys
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), noncausal=st.booleans(),
+       kind=st.sampled_from(["tau=0", "F=0", "H=0"]))
+def test_degenerate_models_match_batch_oracle(seed, noncausal, kind):
+    # Zeroing F or H leaves exact zero eigenvalues as roundoff, so both routes
+    # decide rank at a cutoff far above it.
+    _, model, ys = _screened_instance(seed, noncausal)
+    model, ys = _degenerate(model, ys, kind)
+    tol = INVARIANCE_RANK_TOL
+    final = estimator.run(model, ys, tol)[-1]
+    report = estimator.estimate(final)
+    solution = batch.solve(batch.assemble(model, ys), tol)
+    assert _close(report.xhat, range_projector(final.P, tol) @ solution.xstack[-model.n:])
+    assert _close(report.beta, 1.0 - solution.minI)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), noncausal=st.booleans(),
+       scale=st.sampled_from([1e100, 1e-100]))
+def test_scaled_models(seed, noncausal, scale):
+    # F, C, H -> cF, cC, cH maps the set X(k) to X(k) / c: it keeps beta and
+    # the index, and c xhat is the unscaled xhat.  No step may overflow.
+    _, model, ys = _screened_instance(seed, noncausal)
+    times = lambda mat: scale * mat  # noqa: E731
+    scaled = _transformed(model, F=times, C=times, H=times)
+    tol = INVARIANCE_RANK_TOL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = list(zip(estimator.run(model, ys, tol), estimator.run(scaled, ys, tol)))
+        for state, other in pairs:
+            want, got = estimator.estimate(state), estimator.estimate(other)
+            assert _close(scale * got.xhat, want.xhat)
+            assert _close(got.beta, want.beta)
+            assert got.noncausality_index == want.noncausality_index

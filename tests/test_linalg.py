@@ -1,5 +1,7 @@
 """Matrix kernel: pseudoinverse, rank decisions, projectors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from daeminimax.linalg import (
     pinv,
     qform,
     range_projector,
+    relative_cutoff,
     sym_rank,
     symmetrize,
 )
@@ -136,6 +139,12 @@ def test_as_vector_rejects_bad_input():
         as_vector(np.array([np.nan]))
 
 
+@pytest.mark.parametrize("rank_tol", [-1.0, np.nan, np.inf])
+def test_relative_cutoff_rejects_bad_rank_tol(rank_tol):
+    with pytest.raises(InvalidMatrix):
+        relative_cutoff(rank_tol, (2, 2))
+
+
 def test_symmetrize_quiet_below_tolerance():
     a = np.array([[1.0, 2.0], [2.0 + 1e-12, 1.0]])
     got = symmetrize(a)
@@ -146,6 +155,20 @@ def test_symmetrize_warns_on_gross_asymmetry():
     a = np.array([[1.0, 2.0], [-2.0, 1.0]])
     with pytest.warns(AsymmetryWarning):
         symmetrize(a)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_symmetrize_does_not_overflow_at_extreme_scale(scale):
+    a = scale * np.array([[1.0, 2.0], [2.0 * (1.0 + 1e-13), 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = symmetrize(a)
+    assert np.array_equal(got, got.T)
+
+
+def test_symmetrize_warns_on_gross_asymmetry_at_large_scale():
+    with pytest.warns(AsymmetryWarning):
+        symmetrize(1e200 * np.array([[1.0, 2.0], [-2.0, 1.0]]))
 
 
 def test_qform():

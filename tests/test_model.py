@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import feasible_data, random_model
-from daeminimax.errors import DimensionMismatch, InconsistentDynamics
+from daeminimax.errors import DimensionMismatch, EstimationError, InconsistentDynamics
 from daeminimax.model import (
     DescriptorModel,
     augment_ode,
@@ -148,6 +148,20 @@ def test_budget_weights_enter():
     f = np.array([[1.0], [1.0]])
     g = np.array([[2.0], [0.0]])
     assert budget(model, f, g) == pytest.approx(2.0 + 2.0 + 2.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("f", [[[np.nan]] * 3, [[np.inf]] * 3, [[1.0], [2.0, 3.0], [4.0]],
+                               [[1.0]] * 2],
+                         ids=["nan", "inf", "ragged", "short"])
+def test_simulate_and_budget_reject_bad_inputs(f):
+    model = scalar_chain(2)
+    g = np.zeros((3, 1))
+    with pytest.raises(EstimationError):
+        simulate(model, f, g)
+    with pytest.raises(EstimationError):
+        budget(model, f, g)
+    with pytest.raises(EstimationError):
+        budget(model, g, f)
 
 
 def test_augment_ode_block_structure():
