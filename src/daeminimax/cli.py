@@ -170,10 +170,9 @@ def cmd_compare(args) -> int:
 
 def cmd_reproduce(args) -> int:
     horizon = 40
-    rank_tol = args.rank_tol if args.rank_tol > 0.0 else demo.RANK_TOL
     model = demo.build_model(horizon)
     plant, ys = demo.plant_trajectory(horizon)
-    states = estimator.run(model, ys.reshape(-1, 1), rank_tol)
+    states = estimator.run(model, ys.reshape(-1, 1), args.rank_tol)
     # Plant directions: the measured coordinate q1 = (1,0) and the
     # unmeasured coordinate q2 = (0,1), lifted to the 4-state model.
     directions = {
@@ -251,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(func=func)
         cmd.add_argument("--rank-tol", type=float, default=0.0,
-                         help="relative singular-value cutoff, finite and >= 0 "
-                              "(0 = machine default); fixed for the whole run")
+                         help="relative cutoff on eigenvalues of the information "
+                              "matrix, finite and >= 0 (0 = machine default eps * n); "
+                              "fixed for the whole run")
         return cmd
 
     cmd = add("simulate", cmd_simulate, "roll a model forward and write the trajectory")

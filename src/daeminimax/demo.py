@@ -19,11 +19,6 @@ budget.  Consequences the tests pin down exactly:
 * the measured coordinate keeps finite guaranteed bounds whose midpoint
   equals the estimate exactly, at every step.
 
-The information matrix carries a spurious second eigenvalue at roundoff
-level (1.1e-15 of the largest at k = 1), just above the default rank
-cutoff (4 eps), left by assembling P_k from the transported term; so
-rank decisions on this model use the explicit RANK_TOL below.
-
 The output weight schedule k / (k + 1) vanishes at k = 0, which would
 violate positive definiteness, so the k = 0 weight is floored at machine
 epsilon; the reproduction command reports this substitution.
@@ -39,7 +34,6 @@ from .linalg import EPS
 from .model import DescriptorModel, augment_ode
 
 __all__ = [
-    "RANK_TOL",
     "WEIGHT_FLOOR",
     "WEIGHT_NOTE",
     "DRIVE_MATRIX",
@@ -53,10 +47,6 @@ __all__ = [
     "augmented_inputs",
     "model_document",
 ]
-
-# Relative SVD cutoff for rank decisions on this model: far above the
-# roundoff-level junk singular values, far below the true information.
-RANK_TOL = 1e-10
 
 WEIGHT_FLOOR = EPS
 WEIGHT_NOTE = (

@@ -22,7 +22,7 @@ class InconsistentDynamics(EstimationError):
 
 
 class NumericalBreakdown(EstimationError):
-    """A numerical invariant (positive semidefiniteness, finiteness) failed."""
+    """A numerical invariant (finiteness) failed."""
 
 
 class SingularMatrix(EstimationError):

@@ -24,24 +24,25 @@ problem).
 P_k, and with it the observable subspace and the noncausality index,
 depends on the model alone; only r_k and alpha_k see the data.  So the
 recursion is split.  :func:`schedule` computes one :class:`Link` per
-step: the kept eigenpairs (V_r, lam_r) of P_k, from the one
-eigendecomposition that checks and cleans it, and the transport factors
-of r and alpha.  The data pass maps (r, alpha) through the links and
-factorizes nothing.  The model keeps its last schedule, and its matrices
-are read-only so that schedule cannot go stale: a second :func:`run` on
-the same model object factorizes nothing.  :func:`init` and :func:`step`
-compute and apply one link each, through the same code.  Only the
-schedule goes through ``symmetrize``, so an ``AsymmetryWarning`` comes
-once per model and cutoff, not once per run.
+step: the kept eigenpairs (V_r, lam_r) of P_k and the transport factors
+of r and alpha, in square-root information form: P_k is never formed,
+only a factor Z_k with P_k = Z_k'Z_k (see :func:`_link`).  The data pass
+maps (r, alpha) through the links and factorizes nothing.  The model
+keeps its last schedule, and its matrices are read-only so that schedule
+cannot go stale.  :func:`init` and :func:`step` compute and apply one
+link each, through the same code.
 
-Each state holds (V_r, lam_r) and the run's ``rank_tol`` they were kept
-under, and its ``P`` is assembled from them on request.  :func:`estimate`
-solves a state once from them, at that cutoff:
-xhat = V_r (V_r' r / lam_r), rank = len(lam_r), projector V_r V_r'; its
-report keeps the eigenpairs, so :func:`radius` answers every direction
-without solving again.  Each link factors S_k as W'W by Cholesky instead
-of taking its symmetric square root, and a step that reads the same
-matrix objects as the step before reuses that factor and its products.
+Every rank decision is made on the singular values sigma of a factor,
+and ``rank_tol`` is a relative cutoff on the eigenvalues sigma^2 of the
+matrix it factors (P_k or B_k, n by n), as ``pinv(P, rank_tol)`` applies
+it: sigma^2 > rank_tol * sigma_max^2, with the default (0) at eps * n.
+An exact zero comes out of a factor near eps * sigma_max, far below.
+
+Each state holds (V_r, lam_r) and the run's ``rank_tol``, and its ``P``
+is assembled from them on request.  :func:`estimate` solves a state once
+from them: xhat = V_r (V_r' r / lam_r), rank = len(lam_r), projector
+V_r V_r'; its report keeps the eigenpairs, so :func:`radius` answers
+every direction without solving again.
 
 A negative beta_k (below -BETA_TOL) certifies that no trajectory within
 the unit budget explains the data; it is reported, never clamped.
@@ -61,13 +62,12 @@ from .errors import (
     NumericalBreakdown,
     OutsideObservable,
 )
-from .linalg import EPS, as_rows, as_vector, qform, relative_cutoff, symmetrize
+from .linalg import EPS, as_rows, as_vector, qform, relative_cutoff
 from .model import DescriptorModel
 
 __all__ = [
     "BETA_TOL",
     "MEMBERSHIP_SLACK",
-    "PSD_TOL",
     "FilterState",
     "EstimateReport",
     "Link",
@@ -87,15 +87,8 @@ __all__ = [
 BETA_TOL = 1e-9
 # Slack added to the membership inequality to absorb roundoff.
 MEMBERSHIP_SLACK = 1e-9
-# P must stay positive semidefinite; eigenvalues below -PSD_TOL (relative
-# to the spectral radius) abort the recursion.
-PSD_TOL = 1e-9
-
-
-def _assemble(V: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """V diag(lam) V', symmetrized."""
-    P = (V * lam) @ V.T
-    return 0.5 * (P + P.T)
+# Singular values of a factor at or above this square to infinity.
+_SQRT_MAX = sqrt(float(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -116,8 +109,9 @@ class FilterState:
 
     @property
     def P(self) -> np.ndarray:
-        """The information matrix P_k = V diag(lam) V'."""
-        return _assemble(self.V, self.lam)
+        """The information matrix P_k = V diag(lam) V', symmetrized."""
+        P = (self.V * self.lam) @ self.V.T
+        return 0.5 * (P + P.T)
 
 
 @dataclass(frozen=True)
@@ -153,8 +147,8 @@ class Link(NamedTuple):
 
         r_k = L u + HtR y_k,   alpha_k = alpha_{k-1} + <R y_k, y_k> - |u|^2
 
-    with E = V_B diag(lam_B^{-1/2}) over the kept eigenpairs of B_{k-1}
-    and L = (W F_k)' K; at k = 0 both have no columns.
+    with E = V_B diag(1/sigma_B) over the kept singular pairs of the factor
+    of B_{k-1} and L = (W F_k)' K; at k = 0 both have no columns.
     """
 
     V: np.ndarray
@@ -178,98 +172,94 @@ def _weight_factor(S: np.ndarray) -> np.ndarray:
 class _Products(NamedTuple):
     """The products of step k that depend on the model alone.
 
-    With W'W = S_k: G = W C_{k-1}, GtG = G'G and WF = W F_k (all None at
-    k = 0), HtR = H_k'R_k, HtRH = H_k'R_k H_k, and R = R_k.
+    ``mats`` holds the matrix objects (F_k, C_{k-1}, H_k, S_k, R_k) they
+    come from, with C None at k = 0.  With W'W = S_k and Q'Q = R_k:
+    WF = W F_k, G = W C_{k-1} (None at k = 0), QH = Q H_k, HtR = H_k'R_k.
     """
 
+    mats: tuple
+    W: np.ndarray
+    Q: np.ndarray
+    WF: np.ndarray
     G: np.ndarray | None
-    GtG: np.ndarray | None
-    WF: np.ndarray | None
+    QH: np.ndarray
     HtR: np.ndarray
-    HtRH: np.ndarray
     R: np.ndarray
 
 
-def _products(model: DescriptorModel, k: int) -> _Products:
-    """Step k's model-only products (see :class:`_Products`)."""
-    H, R = model.H[k], model.R[k]
-    HtR = H.T @ R
-    if k == 0:
-        return _Products(None, None, None, HtR, HtR @ H, R)
-    W = _weight_factor(model.S[k])
-    G = W @ model.C[k - 1]
-    return _Products(G, G.T @ G, W @ model.F[k], HtR, HtR @ H, R)
+def _products(model: DescriptorModel, k: int, prev: _Products | None = None) -> _Products:
+    """Step k's model-only products (see :class:`_Products`).
+
+    Every product whose matrices are the very objects that ``prev`` (step
+    k-1's products) read is taken from it, so a weight repeated from one
+    step to the next is factored once.
+    """
+    mats = (model.F[k], model.C[k - 1] if k else None, model.H[k], model.S[k], model.R[k])
+    F, C, H, S, R = mats
+    same = [a is b for a, b in zip(mats, prev.mats)] if prev else [False] * 5
+    if all(same):
+        return prev
+    W = prev.W if same[3] else _weight_factor(S)
+    WF = prev.WF if same[3] and same[0] else W @ F
+    G = None if C is None else prev.G if same[3] and same[1] else W @ C
+    Q = prev.Q if same[4] else _weight_factor(R)
+    QH, HtR = (prev.QH, prev.HtR) if same[4] and same[2] else (Q @ H, H.T @ R)
+    return _Products(mats, W, Q, WF, G, QH, HtR, R)
 
 
-def _same_matrices(model: DescriptorModel, k: int) -> bool:
-    """Whether step k >= 2 reads the very objects step k-1 read, so that
-    its model-only products are those of step k-1."""
-    return (
-        model.F[k] is model.F[k - 1]
-        and model.C[k - 1] is model.C[k - 2]
-        and model.H[k] is model.H[k - 1]
-        and model.S[k] is model.S[k - 1]
-        and model.R[k] is model.R[k - 1]
-    )
+def _svd(M: np.ndarray, k: int, full: bool):
+    """The SVD of one stacked factor of step k, behind the schedule's one
+    finiteness check: a factor that overflowed, or whose squared singular
+    values would, ends the run as a breakdown."""
+    if np.isfinite(M).all():
+        U, s, Vt = np.linalg.svd(M, full_matrices=full)
+        if s[0] < _SQRT_MAX:
+            return U, s, Vt
+    raise NumericalBreakdown(f"step {k}: a factor of P overflows")
 
 
-def _link(V_prev, lam_prev, model: DescriptorModel, k: int, rank_tol: float,
-          prod: _Products) -> Link:
+def _link(V_prev, lam_prev, k: int, rank_tol: float, prod: _Products) -> Link:
     """Step k of the recursion without the data: P_k and the transport.
 
     P_{k-1} = V_prev diag(lam_prev) V_prev' and ``prod`` holds
-    :func:`_products` of step k; the formulas are those of :func:`init`
-    and :func:`step`.  The term
-    S_k - S_k C_{k-1} pinv(B_{k-1}) C_{k-1}' S_k of P_k is never formed
-    by that expression: expanding pinv(B) between two copies of C'S
-    suffers catastrophic cancellation once B carries a small kept
-    eigenvalue lambda (the error scales with eps/lambda, which reached
-    1e-2 on hard random models).  Instead, with
-    W'W = S (W the transposed Cholesky factor), G = W C and
-    B = P + G'G eigendecomposed as V diag(lambda) V', let
-    K = G V_r diag(lambda_r^{-1/2}).  Every column of K has exact norm at
-    most 1 because lambda = v'Pv + |Gv|^2, so
+    :func:`_products` of step k; the formulas are those of :func:`step`.
+    No information matrix is formed, only factors, whose singular values
+    carry roundoff at eps relative to sigma rather than to sigma^2.  With
+    W'W = S and G = W C, B = P_{k-1} + C'SC = A'A for the stacked
 
-        S - S C pinv(B) C' S  =  W' (I - K K') W
+        A = [diag(sqrt(lam_prev)) V_prev'; G].
 
-    is evaluated from quantities of unit scale (error eps/sqrt(lambda))
-    and I - K K', whose exact spectrum lies in [0, 1], is clipped back
-    into that interval before use.
+    One SVD of A, with its full orthogonal U, gives B's kept singular
+    pairs (V_B, sigma_B), so E = V_B diag(1/sigma_B), and it splits the
+    G-rows of U into K = G E (kept columns) and U_perp (the rest).  Since
+    U U' = I, I - K K' = U_perp U_perp' exactly, so
 
-    One eigendecomposition of P_k then checks it and gives its kept
-    eigenpairs: eigenvalues below -PSD_TOL (relative to the spectral
-    radius) abort, and those at or below the shared cutoff are dropped.
-    Leaving such roundoff-scale eigenvalues in P would let the next
-    step's pseudoinverse keep a junk direction of B = P + C'SC and amplify
-    it by its reciprocal, which can destroy positive semidefiniteness; at
-    exact zero a kept junk direction satisfies the exact Rayleigh bound
-    u'C'SCu <= lambda, so its contribution stays O(eps).
+        S - S C pinv(B) C' S  =  W' (I - K K') W  =  (U_perp' W)' (U_perp' W)
+
+    has no cancellation and needs no clip, and P_k = Z'Z with
+    Z = [Q H; U_perp' W F] (Q'Q = R; Z = [Q H; W F] at k = 0).  One economy
+    SVD of Z gives the kept eigenpairs of P_k, lam = sigma^2; P_k cannot
+    lose semidefiniteness.  Both SVDs go through :func:`_svd`, and each
+    keeps sigma > sqrt(cutoff) * sigma_max: the eigenvalues of B and of P_k
+    above the run's relative cutoff.
     """
+    n = prod.WF.shape[1]
+    cut = sqrt(relative_cutoff(rank_tol, (n, n)))
     if k == 0:
-        E = L = np.zeros((model.n, 0))
-        F = model.F[0]
-        transported = F.T @ model.S[0] @ F
+        E = L = np.zeros((n, 0))
+        transported = prod.WF
     else:
-        B = symmetrize(_assemble(V_prev, lam_prev) + prod.GtG)
-        eigs, vecs = np.linalg.eigh(B)
-        keep = eigs > relative_cutoff(rank_tol, B.shape) * max(float(eigs[-1]), 0.0)
-        E = vecs[:, keep] / np.sqrt(eigs[keep])
-        K = prod.G @ E
-        M = symmetrize(np.eye(K.shape[0]) - K @ K.T)
-        me, mv = np.linalg.eigh(M)
-        M = (mv * np.clip(me, 0.0, 1.0)) @ mv.T
-        L = prod.WF.T @ K
-        transported = prod.WF.T @ M @ prod.WF
-    P = symmetrize(prod.HtRH + transported)
-
-    eigs, vecs = np.linalg.eigh(P)
-    top = max(float(eigs[-1]), 0.0)
-    if float(eigs[0]) < -PSD_TOL * max(1.0, top):
-        raise NumericalBreakdown(
-            f"step {k}: P lost positive semidefiniteness (min eigenvalue {eigs[0]:.3e})"
-        )
-    keep = eigs > relative_cutoff(rank_tol, P.shape) * top
-    link = Link(V=vecs[:, keep], lam=eigs[keep], E=E, L=L, HtR=prod.HtR, R=prod.R)
+        A = np.concatenate((np.sqrt(lam_prev)[:, None] * V_prev.T, prod.G))
+        U, s, Vt = _svd(A, k, True)
+        q = int(np.count_nonzero(s > cut * s[0]))
+        E = Vt[:q].T / s[:q]
+        G_rows = U[lam_prev.size:]
+        L = prod.WF.T @ G_rows[:, :q]
+        transported = G_rows[:, q:].T @ prod.WF
+    Z = np.concatenate((prod.QH, transported))
+    _, s, Vt = _svd(Z, k, False)
+    q = int(np.count_nonzero(s > cut * s[0]))
+    link = Link(V=Vt[:q].T, lam=s[:q] ** 2, E=E, L=L, HtR=prod.HtR, R=prod.R)
     # States and reports hand these arrays out, and the model keeps them.
     for arr in (link.V, link.lam, link.E, link.L, link.HtR):
         arr.flags.writeable = False
@@ -278,9 +268,16 @@ def _link(V_prev, lam_prev, model: DescriptorModel, k: int, rank_tol: float,
 
 def _apply(link: Link, k: int, r: np.ndarray, alpha: float, y: np.ndarray,
            rank_tol: float) -> FilterState:
-    """The data pass of step k: no factorization."""
+    """The data pass of step k: no factorization.
+
+    B_k(q) >= 0 for every q forces r_k into range(P_k); below full rank
+    r_k is projected back onto it, so roundoff that leaves the range is
+    not amplified by the next step's small kept singular values of B.
+    """
     u = link.E.T @ r
     r = link.L @ u + link.HtR @ y
+    if link.lam.size < r.size:
+        r = link.V @ (link.V.T @ r)
     alpha = alpha + qform(link.R, y) - float(u @ u)
     return FilterState(k=k, r=r, alpha=alpha, V=link.V, lam=link.lam, rank_tol=rank_tol)
 
@@ -288,9 +285,9 @@ def _apply(link: Link, k: int, r: np.ndarray, alpha: float, y: np.ndarray,
 def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
     """The links of steps 0..tau, which depend on the model alone.
 
-    While step k reads the same matrix objects as step k-1, it reuses that
-    step's model-only products (the Cholesky factor of S_k and the products
-    with it), so a time-invariant model factors its weight once.  The model
+    Each step reuses every product of the step before whose matrices are
+    the same objects (the factors of S_k and R_k and the products with
+    them), so a time-invariant model factors each weight once.  The model
     keeps its last schedule, so a second call with the same ``rank_tol``
     factorizes nothing; the model's matrices are read-only, so the kept
     schedule cannot go stale.
@@ -298,13 +295,13 @@ def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
     kept = model._schedule
     if kept is not None and kept[0] == rank_tol:
         return kept[1]
-    links = [_link(None, None, model, 0, rank_tol, _products(model, 0))]
-    for k in range(1, model.tau + 1):
-        # Only the previous step's products are held: a dict over all steps
-        # would keep every step's products alive on a time-varying model.
-        if k == 1 or not _same_matrices(model, k):
-            prod = _products(model, k)
-        links.append(_link(links[-1].V, links[-1].lam, model, k, rank_tol, prod))
+    links, V, lam, prod = [], None, None, None
+    for k in range(model.tau + 1):
+        # Only the previous step's products are held: keeping every step's
+        # would hold them all alive on a time-varying model.
+        prod = _products(model, k, prod)
+        links.append(_link(V, lam, k, rank_tol, prod))
+        V, lam = links[-1].V, links[-1].lam
     links = tuple(links)
     object.__setattr__(model, "_schedule", (rank_tol, links))
     return links
@@ -317,7 +314,7 @@ def init(model: DescriptorModel, y0, rank_tol: float = 0.0) -> FilterState:
     alpha_0 = <R_0 y_0, y_0>, at the cutoff ``rank_tol`` of the whole chain.
     """
     y0 = as_rows(y0, 1, model.p, "y_0")[0]
-    link = _link(None, None, model, 0, rank_tol, _products(model, 0))
+    link = _link(None, None, 0, rank_tol, _products(model, 0))
     return _apply(link, 0, np.zeros(model.n), 0.0, y0, rank_tol)
 
 
@@ -340,7 +337,7 @@ def step(state: FilterState, model: DescriptorModel, y) -> FilterState:
     if k > model.tau:
         raise DimensionMismatch(f"step {k} is beyond the model horizon {model.tau}")
     y = as_rows(y, 1, model.p, f"y_{k}")[0]
-    link = _link(state.V, state.lam, model, k, state.rank_tol, _products(model, k))
+    link = _link(state.V, state.lam, k, state.rank_tol, _products(model, k))
     return _apply(link, k, state.r, state.alpha, y, state.rank_tol)
 
 

@@ -161,16 +161,16 @@ def symmetrize(a, warn_tol: float = 1e-8) -> np.ndarray:
     """Return ``(a + a.T) / 2``.
 
     Emits :class:`AsymmetryWarning` when the skew part is large relative
-    to the matrix itself, ``max|a - a.T| > warn_tol * max(1, max|a|)``
-    (largest entries cannot overflow, unlike Frobenius norms), which
-    signals a drifting recursion rather than ordinary roundoff.
+    to the matrix itself, ``max|a - a.T| > max(warn_tol, eps) * max|a|``
+    at any scale (largest entries cannot overflow, unlike Frobenius
+    norms; the threshold never drops below the matrix's own roundoff),
+    which signals a drifting computation rather than ordinary roundoff.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"symmetrize needs a square matrix, got {m.shape}")
     skew = float(np.abs(m - m.T).max(initial=0.0))
-    # max(1, max|a|) >= 1, so a skew at or below warn_tol needs no second look.
-    if skew > warn_tol and skew > warn_tol * float(np.abs(m).max()):
+    if skew > max(warn_tol, EPS) * float(np.abs(m).max(initial=0.0)):
         warnings.warn(
             f"asymmetry {skew:.3e} above warn threshold", AsymmetryWarning, stacklevel=2
         )

@@ -131,7 +131,7 @@ def test_acceptance_6_demonstration_model():
     horizon = 40
     model = demo.build_model(horizon)
     _, ys = demo.plant_trajectory(horizon)
-    states = estimator.run(model, ys.reshape(-1, 1), demo.RANK_TOL)
+    states = estimator.run(model, ys.reshape(-1, 1))
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"41-step run took {elapsed:.3f}s, budget 1s"
 

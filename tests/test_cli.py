@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,23 @@ def test_malformed_json_exits_2_with_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, k", [
+    ({"C": [[1e300]], "S": [[1e300]]}, 1),  # G = W C overflows
+    ({"F": [[1e200]]}, 0),  # the factor of P_0 is finite, its square is not
+])
+def test_estimate_overflowing_factor_exits_1(tmp_path, capsys, override, k):
+    # A breakdown with exit 1, never a traceback.
+    spec = write_json(tmp_path / "model.json", dict(scalar_doc(tau=2), **override))
+    ys = tmp_path / "ys.csv"
+    write_table(ys, ["k", "y0"], [[0, 0.0], [1, 0.0], [2, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = cli.main(["estimate", "--spec", spec, "--measurements", str(ys),
+                       "--out", str(tmp_path / "est.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: step {k}: a factor of P overflows\n"
+
+
 # --- observability -----------------------------------------------------
 
 def test_observability_scalar(tmp_path, capsys):
@@ -252,8 +270,7 @@ def test_observability_scalar(tmp_path, capsys):
 
 def test_observability_demo_index_schedule(tmp_path, capsys):
     spec = write_json(tmp_path / "demo.json", demo.model_document(tau=5))
-    rc = cli.main(["observability", "--spec", spec,
-                   "--rank-tol", str(demo.RANK_TOL)])
+    rc = cli.main(["observability", "--spec", spec])
     assert rc == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "0,2,2"
@@ -333,7 +350,7 @@ def test_simulate_then_estimate_round_trip(tmp_path, capsys):
     assert cli.main(["simulate", "--spec", spec, "--out", str(traj)]) == 0
     capsys.readouterr()
     rc = cli.main(["estimate", "--spec", spec, "--measurements", str(traj),
-                   "--out", str(est), "--rank-tol", str(demo.RANK_TOL),
+                   "--out", str(est),
                    "--direction", "1,0,0,0"])
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)

@@ -46,7 +46,7 @@ def test_noncausality_index_schedule():
     tau = 8
     built = demo.build_model(tau)
     _, y = demo.plant_trajectory(tau)
-    states = estimator.run(built, y, rank_tol=demo.RANK_TOL)
+    states = estimator.run(built, y)
     indices = [
         estimator.estimate(s).noncausality_index for s in states
     ]
@@ -57,7 +57,7 @@ def test_observable_and_unobservable_directions():
     tau = 6
     built = demo.build_model(tau)
     _, y = demo.plant_trajectory(tau)
-    states = estimator.run(built, y, rank_tol=demo.RANK_TOL)
+    states = estimator.run(built, y)
     final = states[-1]
     for direction in ([0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]):
         assert math.isinf(
@@ -71,7 +71,7 @@ def test_estimate_tracks_measured_coordinate():
     tau = 10
     built = demo.build_model(tau)
     _, y = demo.plant_trajectory(tau)
-    states = estimator.run(built, y, rank_tol=demo.RANK_TOL)
+    states = estimator.run(built, y)
     for k in range(1, tau + 1):
         xhat = estimator.estimate(states[k]).xhat
         # All information past step 0 comes from the current measurement,
@@ -84,7 +84,7 @@ def test_bounds_centering_on_measured_coordinate():
     tau = 12
     built = demo.build_model(tau)
     _, y = demo.plant_trajectory(tau)
-    states = estimator.run(built, y, rank_tol=demo.RANK_TOL)
+    states = estimator.run(built, y)
     ell = np.array([1.0, 0, 0, 0])
     for state in states[1:]:
         low, high = estimator.direction_bounds(state, ell)

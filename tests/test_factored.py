@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import feasible_data, random_model, random_psd_weight, well_conditioned_instance
-from daeminimax import batch, demo, estimator, formats
+from daeminimax import batch, estimator, formats
 from daeminimax.linalg import EPS, pinv, qform, range_projector, sym_rank, symmetrize
 from daeminimax.model import DescriptorModel, truncate, validate
 
@@ -51,6 +51,8 @@ def test_queries_make_no_factorization(factorizations):
 
 
 def test_step_makes_at_most_four_factorizations(factorizations):
+    # One SVD of the stacked factor of B, one of the factor of P_k, and the
+    # Cholesky factors of S_k and R_k; no eigendecomposition.
     rng = np.random.default_rng(42)
     model = random_model(rng, n=4, m=3, p=2, tau=5)
     ys = rng.normal(size=(model.tau + 1, model.p))
@@ -58,6 +60,9 @@ def test_step_makes_at_most_four_factorizations(factorizations):
     for k in range(1, model.tau + 1):
         factorizations.clear()
         state = estimator.step(state, model, ys[k])
+        assert factorizations["eigh"] == 0, dict(factorizations)
+        assert factorizations["svd"] <= 2, dict(factorizations)
+        assert factorizations["cholesky"] <= 2, dict(factorizations)
         assert sum(factorizations.values()) <= 4, dict(factorizations)
 
 
@@ -171,16 +176,25 @@ def test_run_equals_init_step_chain_bit_for_bit(seed, noncausal):
     assert _same_states(estimator.run(model, ys), chain)
 
 
+def _faint_model(tau=2, T=np.eye(2)):
+    """P_0 = diag(2, 1e-4) in the coordinates x = T z, and the faint second
+    direction fades by 4e-4 per step: the default cutoff keeps it up to k = 3,
+    the cutoff 1e-3 on eigenvalues of P drops it at every step."""
+    return DescriptorModel.constant(np.diag([1.0, 1e-2]) @ T, 0.5 * T,
+                                    np.array([[1.0, 0.0]]) @ T, np.eye(2), np.eye(1), tau=tau)
+
+
+FAINT_YS = np.array([0.5, 0.2, -0.1])
+
+
 def test_chain_keeps_the_cutoff_of_init():
-    # At the default cutoff the demo keeps a spurious second eigenpair at k = 1
-    # and 5; a chain started at RANK_TOL must not fall back to it at any step.
-    model = demo.build_model(8)
-    ys = demo.plant_trajectory(8)[1]
-    chain = [estimator.init(model, ys[0], demo.RANK_TOL)]
+    # A chain started at 1e-3 must not fall back to the default at any step.
+    model = _faint_model()
+    chain = [estimator.init(model, FAINT_YS[0], 1e-3)]
     for k in range(1, model.tau + 1):
-        chain.append(estimator.step(chain[-1], model, ys[k]))
-    assert all(state.rank_tol == demo.RANK_TOL for state in chain)
-    assert _same_states(chain, estimator.run(demo.build_model(8), ys, demo.RANK_TOL))
+        chain.append(estimator.step(chain[-1], model, FAINT_YS[k]))
+    assert all(state.rank_tol == 1e-3 and state.lam.size == 1 for state in chain)
+    assert _same_states(chain, estimator.run(_faint_model(), FAINT_YS, 1e-3))
 
 
 def test_second_run_on_a_model_factorizes_nothing(factorizations):
@@ -195,16 +209,29 @@ def test_second_run_on_a_model_factorizes_nothing(factorizations):
 
 
 def test_run_with_another_cutoff_recomputes_like_a_fresh_model():
-    # On the demo model the default cutoff and RANK_TOL disagree on the
-    # rank of P_1, so a stale schedule would show in the index.
-    model = demo.build_model(8)
-    ys = demo.plant_trajectory(8)[1]
-    default = estimator.run(model, ys)
-    pinned = estimator.run(model, ys, demo.RANK_TOL)
-    assert _same_states(pinned, estimator.run(demo.build_model(8), ys, demo.RANK_TOL))
-    assert [estimator.estimate(s).noncausality_index for s in pinned[:2]] == [2, 3]
-    assert estimator.estimate(default[1]).noncausality_index == 2
-    assert _same_states(estimator.run(model, ys), default)
+    # The default cutoff and 1e-3 disagree on the rank of every P_k, so a
+    # stale schedule would show in the index.
+    model = _faint_model()
+    default = estimator.run(model, FAINT_YS)
+    pinned = estimator.run(model, FAINT_YS, 1e-3)
+    assert _same_states(pinned, estimator.run(_faint_model(), FAINT_YS, 1e-3))
+    assert [estimator.estimate(s).noncausality_index for s in pinned] == [1, 1, 1]
+    assert [estimator.estimate(s).noncausality_index for s in default] == [0, 0, 0]
+    assert _same_states(estimator.run(model, FAINT_YS), default)
+
+
+def test_default_cutoff_drops_a_faded_direction_in_any_coordinates():
+    # From k = 4 the faint eigenvalue is below 1e-17 of the largest, where the
+    # estimate along it is roundoff: the default cutoff drops it whether or not
+    # the coordinates are rotated, so xhat and beta agree.
+    T = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    ys = np.array([0.5, 0.2, -0.1, 0.3, 0.4, 0.1, 0.2, 0.3, -0.2])
+    pairs = zip(estimator.run(_faint_model(8), ys), estimator.run(_faint_model(8, T), ys))
+    for state, other in list(pairs)[4:]:
+        want, got = estimator.estimate(state), estimator.estimate(other)
+        assert want.noncausality_index == got.noncausality_index == 1
+        assert _close(T @ got.xhat, want.xhat)
+        assert _close(got.beta, want.beta)
 
 
 def test_run_arrays_are_read_only():
@@ -261,11 +288,12 @@ def test_schedule_reuse_is_bit_identical(n, m, p):
 
 def test_schedule_factors_a_repeated_weight_once(factorizations):
     rng = np.random.default_rng(48)
+    # One Cholesky factor per distinct S and R object, k = 0 included.
     estimator.schedule(_constant_model(rng, 3, 3, 1, tau=50))
-    assert factorizations["cholesky"] == 1
+    assert factorizations["cholesky"] == 2
     factorizations.clear()
     estimator.schedule(random_model(rng, n=3, m=3, p=1, tau=50))
-    assert factorizations["cholesky"] == 50
+    assert factorizations["cholesky"] == 2 * 51
 
 
 def test_validate_reports_a_shared_bad_matrix_under_every_name():
@@ -295,14 +323,6 @@ def test_directly_built_model_cannot_go_stale():
                            S=model.S, R=model.R).F[0] is model.F[0]
 
 
-# Screened spectra have no relative eigenvalue between 0.05 eps n and 1e-5, so
-# this cutoff keeps every rank decision of the drawn model.  The default cutoff
-# (eps n) does not suit the transformed model: its exact zero eigenvalues come
-# out as roundoff grown by the transform, and on about one noncausal instance in
-# six they land above eps n and change the index.
-INVARIANCE_RANK_TOL = 1e-10
-
-
 def _transformed(model, F=None, C=None, H=None, S=None):
     """The model with each given map applied to every matrix of its kind."""
     def seq(name, func):
@@ -327,8 +347,7 @@ def test_change_of_state_coordinates(seed, noncausal):
     T = _scaled_orthogonal(rng, model.n)
     right = lambda mat: mat @ T  # noqa: E731
     moved = _transformed(model, F=right, C=right, H=right)
-    tol = INVARIANCE_RANK_TOL
-    for state, other in zip(estimator.run(model, ys, tol), estimator.run(moved, ys, tol)):
+    for state, other in zip(estimator.run(model, ys), estimator.run(moved, ys)):
         want, got = estimator.estimate(state), estimator.estimate(other)
         assert _close(got.xhat, got.projector @ np.linalg.solve(T, want.xhat))
         assert _close(got.beta, want.beta)
@@ -344,8 +363,7 @@ def test_change_of_equation_rows(seed, noncausal):
     Ui = np.linalg.inv(U)
     left = lambda mat: U @ mat  # noqa: E731
     moved = _transformed(model, F=left, C=left, S=lambda S: symmetrize(Ui.T @ S @ Ui))
-    tol = INVARIANCE_RANK_TOL
-    for state, other in zip(estimator.run(model, ys, tol), estimator.run(moved, ys, tol)):
+    for state, other in zip(estimator.run(model, ys), estimator.run(moved, ys)):
         want, got = estimator.estimate(state), estimator.estimate(other)
         assert _close(got.xhat, want.xhat)
         assert _close(got.beta, want.beta)
@@ -364,15 +382,12 @@ def _degenerate(model, ys, kind):
 @given(seed=st.integers(0, 2**32 - 1), noncausal=st.booleans(),
        kind=st.sampled_from(["tau=0", "F=0", "H=0"]))
 def test_degenerate_models_match_batch_oracle(seed, noncausal, kind):
-    # Zeroing F or H leaves exact zero eigenvalues as roundoff, so both routes
-    # decide rank at a cutoff far above it.
     _, model, ys = _screened_instance(seed, noncausal)
     model, ys = _degenerate(model, ys, kind)
-    tol = INVARIANCE_RANK_TOL
-    final = estimator.run(model, ys, tol)[-1]
+    final = estimator.run(model, ys)[-1]
     report = estimator.estimate(final)
-    solution = batch.solve(batch.assemble(model, ys), tol)
-    assert _close(report.xhat, range_projector(final.P, tol) @ solution.xstack[-model.n:])
+    solution = batch.solve(batch.assemble(model, ys))
+    assert _close(report.xhat, range_projector(final.P) @ solution.xstack[-model.n:])
     assert _close(report.beta, 1.0 - solution.minI)
 
 
@@ -385,10 +400,9 @@ def test_scaled_models(seed, noncausal, scale):
     _, model, ys = _screened_instance(seed, noncausal)
     times = lambda mat: scale * mat  # noqa: E731
     scaled = _transformed(model, F=times, C=times, H=times)
-    tol = INVARIANCE_RANK_TOL
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pairs = list(zip(estimator.run(model, ys, tol), estimator.run(scaled, ys, tol)))
+        pairs = list(zip(estimator.run(model, ys), estimator.run(scaled, ys)))
         for state, other in pairs:
             want, got = estimator.estimate(state), estimator.estimate(other)
             assert _close(scale * got.xhat, want.xhat)

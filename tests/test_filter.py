@@ -15,7 +15,7 @@ from conftest import (
 from daeminimax import batch, estimator
 from daeminimax.errors import InconsistentData, OutsideObservable
 from daeminimax.linalg import numerical_rank, pinv
-from daeminimax.model import DescriptorModel
+from daeminimax.model import DescriptorModel, truncate
 
 SQRT24 = math.sqrt(0.24)
 
@@ -170,6 +170,26 @@ def test_estimate_matches_batch_oracle():
         xstar = sol.xstack[-model.n:]
         proj = report.projector
         assert np.linalg.norm(proj @ xstar - report.xhat) <= 1e-8
+        assert abs(report.beta - (1.0 - sol.minI)) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [2, 6])
+def test_long_noncausal_run_keeps_beta_and_the_batch_oracle(seed):
+    # A constant noncausal spec (m + p < n) over 2000 steps of feasible data.
+    # Roundoff that moves r_k out of range(P_k) must not be amplified by the
+    # small kept singular values of B: beta stays in the budget at every step.
+    rng = np.random.default_rng(seed)
+    drawn = random_model(rng, n=4, m=2, p=1, tau=1)
+    model = DescriptorModel.constant(drawn.F[0], drawn.C[0], drawn.H[0], drawn.S[0],
+                                     drawn.R[0], tau=2000)
+    _, _, _, ys = feasible_data(rng, model)
+    states = estimator.run(model, ys)
+    betas = np.array([estimator.estimate(state).beta for state in states])
+    assert np.all((betas >= -estimator.BETA_TOL) & (betas <= 1.0 + estimator.BETA_TOL))
+    for k in (50, 150):
+        report = estimator.estimate(states[k])
+        sol = batch.solve(batch.assemble(truncate(model, k), ys[: k + 1]))
+        assert np.linalg.norm(report.projector @ sol.xstack[-model.n:] - report.xhat) <= 1e-8
         assert abs(report.beta - (1.0 - sol.minI)) <= 1e-8
 
 

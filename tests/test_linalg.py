@@ -171,6 +171,12 @@ def test_symmetrize_warns_on_gross_asymmetry_at_large_scale():
         symmetrize(1e200 * np.array([[1.0, 2.0], [-2.0, 1.0]]))
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-200])
+def test_symmetrize_warns_on_gross_asymmetry_at_small_scale(scale):
+    with pytest.warns(AsymmetryWarning):
+        symmetrize(scale * np.array([[1.0, 2.0], [-2.0, 1.0]]))
+
+
 def test_qform():
     m = np.array([[2.0, 0.0], [0.0, 3.0]])
     assert qform(m, np.array([1.0, 2.0])) == pytest.approx(14.0, abs=1e-15)
