@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalBreakdown
-from .linalg import as_rows, as_vector, pinv, symmetrize
+from .errors import NumericalBreakdown
+from .linalg import as_rows, as_vector, pinv, relative_cutoff, symmetrize
 from .model import DescriptorModel
 
 __all__ = [
@@ -85,7 +85,7 @@ def assemble(model: DescriptorModel, ys) -> BatchProblem:
 
 def objective(problem: BatchProblem, x) -> float:
     """I(x), the weighted residual of the stacked trajectory x."""
-    x = _stacked(problem, x)
+    x = as_vector(x, "xstack", problem.L.shape[1])
     Lx = problem.L @ x
     res = problem.y - problem.H @ x
     return float(Lx @ (problem.Q1 @ Lx) + res @ (problem.Q2 @ res))
@@ -93,18 +93,10 @@ def objective(problem: BatchProblem, x) -> float:
 
 def homogeneous_objective(problem: BatchProblem, x) -> float:
     """I1(x), the same functional with the measurement data removed."""
-    x = _stacked(problem, x)
+    x = as_vector(x, "xstack", problem.L.shape[1])
     Lx = problem.L @ x
     Hx = problem.H @ x
     return float(Lx @ (problem.Q1 @ Lx) + Hx @ (problem.Q2 @ Hx))
-
-
-def _stacked(problem: BatchProblem, x) -> np.ndarray:
-    x = as_vector(x, "xstack")
-    want = (problem.tau + 1) * problem.n
-    if x.shape != (want,):
-        raise DimensionMismatch(f"xstack: got shape {x.shape}, expected ({want},)")
-    return x
 
 
 def solve(problem: BatchProblem, rank_tol: float = 0.0) -> BatchSolution:
@@ -139,18 +131,12 @@ def value_function(problem: BatchProblem, q, rank_tol: float = 0.0) -> float:
     state block held at q.  As a function of q this is the quadratic
     <P_tau q, q> - 2 <r_tau, q> + alpha_tau the recursion maintains.
     """
-    q = as_vector(q, "q")
-    if q.shape != (problem.n,):
-        raise DimensionMismatch(f"q: got shape {q.shape}, expected ({problem.n},)")
+    q = as_vector(q, "q", problem.n)
     M, d = _weighted_stack(problem)
     free = problem.tau * problem.n
-    rhs = d - M[:, free:] @ q
-    if free == 0:
-        residual = -rhs
-    else:
-        Mz = M[:, :free]
-        z = np.linalg.lstsq(Mz, rhs, rcond=rank_tol if rank_tol > 0 else None)[0]
-        residual = Mz @ z - rhs
+    Mz, rhs = M[:, :free], d - M[:, free:] @ q
+    z = np.linalg.lstsq(Mz, rhs, rcond=relative_cutoff(rank_tol, Mz.shape))[0]
+    residual = Mz @ z - rhs
     return float(residual @ residual)
 
 
@@ -162,7 +148,7 @@ def decomposition_check(problem: BatchProblem, solution: BatchSolution, x) -> fl
     measures how far the solver is from optimality; it should sit at
     roundoff level for any probe x.
     """
-    x = _stacked(problem, x)
+    x = as_vector(x, "xstack", problem.L.shape[1])
     lhs = objective(problem, solution.xstack - x)
     rhs = homogeneous_objective(problem, x) + solution.minI
     return float(abs(lhs - rhs))

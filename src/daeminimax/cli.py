@@ -106,10 +106,7 @@ def cmd_estimate(args) -> int:
                 row += [value, math.nan, math.nan, 0]
                 continue
             radius = estimator.radius(report, ell)
-            if radius == math.inf:
-                row += [value, -math.inf, math.inf, 0]
-            else:
-                row += [value, value - radius, value + radius, 1]
+            row += [value, value - radius, value + radius, int(radius < math.inf)]
         rows.append(row)
     write_table(args.out, header, rows)
     summary = {
@@ -190,13 +187,9 @@ def cmd_reproduce(args) -> int:
         for ell in directions.values():
             value = float(ell @ report.xhat)
             err = estimator.radius(report, ell)
-            if math.isinf(err):
-                low, high = -math.inf, math.inf
-            else:
-                low, high = value - err, value + err
-                worst_centering = max(
-                    worst_centering, abs(value - 0.5 * (low + high))
-                )
+            low, high = value - err, value + err
+            if err < math.inf:
+                worst_centering = max(worst_centering, abs(value - 0.5 * (low + high)))
             est_row.append(value)
             bnd_row.extend([low, high])
         truth_rows.append([k, plant[k, 0], plant[k, 1]])

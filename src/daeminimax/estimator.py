@@ -42,7 +42,10 @@ Each state holds (V_r, lam_r) and the run's ``rank_tol``, and its ``P``
 is assembled from them on request.  :func:`estimate` solves a state once
 from them: xhat = V_r (V_r' r / lam_r), rank = len(lam_r), projector
 V_r V_r'; its report keeps the eigenpairs, so :func:`radius` answers
-every direction without solving again.
+every direction without solving again.  The cutoff has chosen the kept
+eigenpairs and is not applied twice: whether a direction lies in
+range(P_k) is decided at the roundoff of its projection onto V_r, and
+an interval is <ell, xhat> -/+ radius, infinite exactly outside it.
 
 A negative beta_k (below -BETA_TOL) certifies that no trajectory within
 the unit budget explains the data; it is reported, never clamped.
@@ -118,16 +121,15 @@ class FilterState:
 class EstimateReport:
     """Central estimate and the shape of the informational set at one step.
 
-    ``basis`` has orthonormal columns spanning range(P_k), ``lam`` holds
-    the eigenvalues of P_k paired with them, and ``rank_tol`` is the run's
-    cutoff they were kept under; :func:`radius` reads all three.
+    ``basis`` has orthonormal columns spanning range(P_k) and ``lam``
+    holds the eigenvalues of P_k paired with them; :func:`radius` reads
+    both.
     """
 
     xhat: np.ndarray
     beta: float
     basis: np.ndarray
     lam: np.ndarray
-    rank_tol: float
     observable_rank: int
     noncausality_index: int
     consistent: bool
@@ -205,6 +207,13 @@ def _products(model: DescriptorModel, k: int, prev: _Products | None = None) -> 
     Q = prev.Q if same[4] else _weight_factor(R)
     QH, HtR = (prev.QH, prev.HtR) if same[4] and same[2] else (Q @ H, H.T @ R)
     return _Products(mats, W, Q, WF, G, QH, HtR, R)
+
+
+def _quiet():
+    """The floating-point state for the model-only products: an overflow
+    there is left to :func:`_svd`'s finiteness check, which ends the run
+    as a breakdown, so numpy's warnings about it would only be noise."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _svd(M: np.ndarray, k: int, full: bool):
@@ -296,12 +305,13 @@ def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
     if kept is not None and kept[0] == rank_tol:
         return kept[1]
     links, V, lam, prod = [], None, None, None
-    for k in range(model.tau + 1):
-        # Only the previous step's products are held: keeping every step's
-        # would hold them all alive on a time-varying model.
-        prod = _products(model, k, prod)
-        links.append(_link(V, lam, k, rank_tol, prod))
-        V, lam = links[-1].V, links[-1].lam
+    with _quiet():
+        for k in range(model.tau + 1):
+            # Only the previous step's products are held: keeping every step's
+            # would hold them all alive on a time-varying model.
+            prod = _products(model, k, prod)
+            links.append(_link(V, lam, k, rank_tol, prod))
+            V, lam = links[-1].V, links[-1].lam
     links = tuple(links)
     object.__setattr__(model, "_schedule", (rank_tol, links))
     return links
@@ -314,7 +324,8 @@ def init(model: DescriptorModel, y0, rank_tol: float = 0.0) -> FilterState:
     alpha_0 = <R_0 y_0, y_0>, at the cutoff ``rank_tol`` of the whole chain.
     """
     y0 = as_rows(y0, 1, model.p, "y_0")[0]
-    link = _link(None, None, 0, rank_tol, _products(model, 0))
+    with _quiet():
+        link = _link(None, None, 0, rank_tol, _products(model, 0))
     return _apply(link, 0, np.zeros(model.n), 0.0, y0, rank_tol)
 
 
@@ -337,7 +348,8 @@ def step(state: FilterState, model: DescriptorModel, y) -> FilterState:
     if k > model.tau:
         raise DimensionMismatch(f"step {k} is beyond the model horizon {model.tau}")
     y = as_rows(y, 1, model.p, f"y_{k}")[0]
-    link = _link(state.V, state.lam, k, state.rank_tol, _products(model, k))
+    with _quiet():
+        link = _link(state.V, state.lam, k, state.rank_tol, _products(model, k))
     return _apply(link, k, state.r, state.alpha, y, state.rank_tol)
 
 
@@ -351,13 +363,6 @@ def run(model: DescriptorModel, ys, rank_tol: float = 0.0) -> list:
         states.append(_apply(link, k, r, alpha, ys[k], rank_tol))
         r, alpha = states[-1].r, states[-1].alpha
     return states
-
-
-def _checked(state: FilterState, vec, name: str) -> np.ndarray:
-    vec = as_vector(vec, name)
-    if vec.shape != state.r.shape:
-        raise DimensionMismatch(f"{name}: got shape {vec.shape}, expected {state.r.shape}")
-    return vec
 
 
 def _require_consistent(report: EstimateReport) -> None:
@@ -386,7 +391,6 @@ def estimate(state: FilterState) -> EstimateReport:
         beta=beta,
         basis=V,
         lam=lam,
-        rank_tol=state.rank_tol,
         observable_rank=lam.size,
         noncausality_index=state.r.size - lam.size,
         consistent=beta >= -BETA_TOL,
@@ -398,7 +402,11 @@ def radius(report: EstimateReport, ell: np.ndarray) -> float:
 
     Returns sqrt(beta) * sqrt(<pinv(P) ell, ell>) when ell lies in the
     observable subspace range(P), and ``math.inf`` otherwise (an infinite
-    radius is an answer, not an error).  ``ell`` must be a finite float
+    radius is an answer, not an error), so <ell, xhat> -/+ radius is the
+    guaranteed interval either way.  Below full rank, ell lies in range(P)
+    when its residual off the kept basis is at most the projection's own
+    roundoff, max(eps * n, 8 eps) * |ell|, whatever the run's cutoff: that
+    cutoff has already chosen the basis.  ``ell`` must be a finite float
     vector of length n; :func:`ell_error` checks it, this function does
     not.
 
@@ -411,8 +419,7 @@ def radius(report: EstimateReport, ell: np.ndarray) -> float:
     _require_consistent(report)
     c = report.basis.T @ ell
     if report.observable_rank < ell.size:
-        # Outside range(P) beyond the cutoff, floored at the projection's own roundoff.
-        tol = max(relative_cutoff(report.rank_tol, ell.shape), 8.0 * EPS) * float(np.linalg.norm(ell))
+        tol = max(EPS * ell.size, 8.0 * EPS) * float(np.linalg.norm(ell))
         if float(np.linalg.norm(ell - report.basis @ c)) > tol:
             return inf
     return sqrt(max(report.beta, 0.0) * float(c @ (c / report.lam)))
@@ -423,7 +430,7 @@ def ell_error(state: FilterState, ell) -> float:
     of :func:`estimate`, after checking that ell is a finite vector of
     length n.
     """
-    ell = _checked(state, ell, "ell")
+    ell = as_vector(ell, "ell", state.r.size)
     return radius(estimate(state), ell)
 
 
@@ -440,7 +447,7 @@ def direction_bounds(state: FilterState, ell):
     InconsistentData
         If beta < -BETA_TOL.
     """
-    ell = _checked(state, ell, "ell")
+    ell = as_vector(ell, "ell", state.r.size)
     report = estimate(state)
     half = radius(report, ell)
     if half == inf:
@@ -455,7 +462,7 @@ def membership(state: FilterState, x) -> bool:
     Tests <P (x - xhat), x - xhat> <= beta + MEMBERSHIP_SLACK; directions
     in the null space of P are unconstrained, as in X(k) itself.
     """
-    x = _checked(state, x, "x")
+    x = as_vector(x, "x", state.r.size)
     report = estimate(state)
     _require_consistent(report)
     c = report.basis.T @ (x - report.xhat)

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 EPS = float(np.finfo(np.float64).eps)
+# Relative skew above which symmetrize warns of a drifting computation.
+_ASYMMETRY_WARN = 1e-8
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -53,8 +55,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Coerce ``a`` to a finite 1-D float array (scalars become length 1)."""
+def as_vector(a, name: str = "vector", size: int | None = None) -> np.ndarray:
+    """Coerce ``a`` to a finite 1-D float array (scalars become length 1)
+    of length ``size``, when given."""
     try:
         v = np.atleast_1d(np.asarray(a, dtype=float))
     except (TypeError, ValueError) as exc:
@@ -63,6 +66,8 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
         raise InvalidMatrix(f"{name}: expected a 1-D array, got ndim={v.ndim}")
     if not np.all(np.isfinite(v)):
         raise InvalidMatrix(f"{name}: non-finite entries")
+    if size is not None and v.shape != (size,):
+        raise DimensionMismatch(f"{name}: got shape {v.shape}, expected {(size,)}")
     return v
 
 
@@ -157,20 +162,19 @@ def range_projector(a, rank_tol: float = 0.0) -> np.ndarray:
     return 0.5 * (proj + proj.T)
 
 
-def symmetrize(a, warn_tol: float = 1e-8) -> np.ndarray:
+def symmetrize(a) -> np.ndarray:
     """Return ``(a + a.T) / 2``.
 
     Emits :class:`AsymmetryWarning` when the skew part is large relative
-    to the matrix itself, ``max|a - a.T| > max(warn_tol, eps) * max|a|``
-    at any scale (largest entries cannot overflow, unlike Frobenius
-    norms; the threshold never drops below the matrix's own roundoff),
-    which signals a drifting computation rather than ordinary roundoff.
+    to the matrix itself, ``max|a - a.T| > 1e-8 * max|a|`` at any scale
+    (largest entries cannot overflow, unlike Frobenius norms), which
+    signals a drifting computation rather than ordinary roundoff.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"symmetrize needs a square matrix, got {m.shape}")
     skew = float(np.abs(m - m.T).max(initial=0.0))
-    if skew > max(warn_tol, EPS) * float(np.abs(m).max(initial=0.0)):
+    if skew > _ASYMMETRY_WARN * float(np.abs(m).max(initial=0.0)):
         warnings.warn(
             f"asymmetry {skew:.3e} above warn threshold", AsymmetryWarning, stacklevel=2
         )

@@ -85,6 +85,28 @@ def test_estimate_marks_unobservable_direction(tmp_path):
     assert "inf" in raw and "\r" not in raw
 
 
+def test_estimate_bounds_a_tilted_direction_at_no_cutoff(tmp_path, capsys):
+    # x_2 is never weighted or measured: (1, 0.5) has a free component, so it
+    # is unbounded however coarse the run's cutoff.
+    doc = {
+        "n": 2, "m": 1, "p": 1, "tau": 3,
+        "F": [[1.0, 0.0]], "C": [[1.0, 0.0]], "H": [[1.0, 0.0]],
+        "S": [[1.0]], "R": [[1.0]],
+    }
+    spec = write_json(tmp_path / "model.json", doc)
+    ys = tmp_path / "ys.csv"
+    write_table(ys, ["k", "y0"], [[0, 0.3], [1, 0.1], [2, 0.2], [3, 0.1]])
+    out = tmp_path / "est.csv"
+    rc = cli.main(["estimate", "--rank-tol", "0.5", "--spec", spec, "--measurements", str(ys),
+                   "--out", str(out), "--direction", "1,0.5"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["consistent"] is True
+    header, rows = read_table(out)
+    assert column(header, rows, "dir0_low") == [-math.inf] * 4
+    assert column(header, rows, "dir0_high") == [math.inf] * 4
+    assert column(header, rows, "dir0_observable") == [0.0] * 4
+
+
 def test_estimate_inconsistent_data_exits_4_but_writes(tmp_path, capsys):
     spec = write_json(tmp_path / "model.json", scalar_doc(tau=0))
     ys = tmp_path / "ys.csv"
@@ -250,6 +272,23 @@ def test_estimate_overflowing_factor_exits_1(tmp_path, capsys, override, k):
     write_table(ys, ["k", "y0"], [[0, 0.0], [1, 0.0], [2, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
+        rc = cli.main(["estimate", "--spec", spec, "--measurements", str(ys),
+                       "--out", str(tmp_path / "est.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: step {k}: a factor of P overflows\n"
+
+
+@pytest.mark.parametrize("override, k", [
+    ({"C": [[1e300]], "S": [[1e300]]}, 1),
+    ({"F": [[1e200]]}, 0),
+])
+def test_estimate_overflowing_factor_warns_nothing(tmp_path, capsys, override, k):
+    # The breakdown message is all that reaches stderr: no numpy warning.
+    spec = write_json(tmp_path / "model.json", dict(scalar_doc(tau=2), **override))
+    ys = tmp_path / "ys.csv"
+    write_table(ys, ["k", "y0"], [[0, 0.0], [1, 0.0], [2, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = cli.main(["estimate", "--spec", spec, "--measurements", str(ys),
                        "--out", str(tmp_path / "est.csv")])
     assert rc == 1

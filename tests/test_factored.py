@@ -106,7 +106,7 @@ def test_stricter_query_cutoff_drops_more_eigenpairs():
     assert estimator.estimate(state).observable_rank == 2
     assert estimator.ell_error(state, e2) == pytest.approx(math.sqrt(0.875e4), rel=1e-12)
     strict = estimator.estimate(stricter)
-    assert strict.rank_tol == stricter.rank_tol == 1e-3
+    assert stricter.rank_tol == 1e-3
     assert strict.observable_rank == sym_rank(state.P, 1e-3) == 1
     assert np.allclose(strict.projector, np.diag([1.0, 0.0]), atol=1e-15)
     assert np.allclose(strict.xhat, pinv(state.P, 1e-3) @ state.r, atol=1e-15)
@@ -155,6 +155,30 @@ def test_factored_queries_match_dense_route(seed, noncausal):
                 assert math.isinf(got)
             else:
                 assert _close(got, math.sqrt(max(beta, 0.0) * max(ell @ pinv(state.P) @ ell, 0.0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rank_tol=st.sampled_from([0.0, 1e-10, 1e-6, 1e-3]),
+       exponent=st.floats(-6.0, 0.0))
+def test_radius_decides_range_at_roundoff_under_any_cutoff(seed, rank_tol, exponent):
+    # ell = b + t u with b in range(P_k) and u a unit vector orthogonal to it:
+    # unbounded for any t >= 1e-6 |b|, whatever the run's cutoff, and the
+    # dense route's radius at t = 0.
+    rng, model, ys = _screened_instance(seed, noncausal=True)
+    for state in estimator.run(model, ys, rank_tol):
+        report = estimator.estimate(state)
+        if not report.consistent:
+            continue
+        V = report.basis
+        b = V @ rng.normal(size=V.shape[1])
+        u = rng.normal(size=model.n)
+        for _ in range(2):
+            u -= V @ (V.T @ u)
+        u /= np.linalg.norm(u)
+        t = 10.0**exponent * float(np.linalg.norm(b))
+        assert estimator.radius(report, b + t * u) == math.inf
+        dense = math.sqrt(max(report.beta, 0.0) * max(b @ pinv(state.P) @ b, 0.0))
+        assert _close(estimator.radius(report, b), dense)
 
 
 def _same_states(got, want) -> bool:

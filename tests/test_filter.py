@@ -13,7 +13,7 @@ from conftest import (
     well_conditioned_instance,
 )
 from daeminimax import batch, estimator
-from daeminimax.errors import InconsistentData, OutsideObservable
+from daeminimax.errors import DimensionMismatch, InconsistentData, OutsideObservable
 from daeminimax.linalg import numerical_rank, pinv
 from daeminimax.model import DescriptorModel, truncate
 
@@ -257,6 +257,43 @@ def test_unobservable_direction_reports_infinite_error():
     assert not math.isinf(estimator.ell_error(state, np.array([1.0, 0.0])))
     with pytest.raises(OutsideObservable):
         estimator.direction_bounds(state, np.array([0.0, 1.0]))
+
+
+def test_range_test_ignores_the_run_cutoff():
+    # F = C = H = (1 0): x_2 is never weighted or measured.  A direction with
+    # a free component of 1e-7 is unbounded at any cutoff, 1e-6 included.
+    F = np.array([[1.0, 0.0]])
+    one = np.array([[1.0]])
+    model = DescriptorModel.constant(F, F, F, one, one, 3)
+    state = estimator.run(model, np.array([0.3, 0.1, 0.2, 0.1]), 1e-6)[-1]
+    assert estimator.estimate(state).consistent
+    tilted = np.array([1.0, 1e-7])
+    assert estimator.ell_error(state, tilted) == math.inf
+    with pytest.raises(OutsideObservable):
+        estimator.direction_bounds(state, tilted)
+    assert math.isfinite(estimator.ell_error(state, np.array([1.0, 0.0])))
+
+
+@pytest.mark.parametrize("query, size, message", [
+    (lambda state, problem, v: estimator.ell_error(state, v), 3,
+     "ell: got shape (3,), expected (4,)"),
+    (lambda state, problem, v: estimator.direction_bounds(state, v), 5,
+     "ell: got shape (5,), expected (4,)"),
+    (lambda state, problem, v: estimator.membership(state, v), 1,
+     "x: got shape (1,), expected (4,)"),
+    (lambda state, problem, v: batch.objective(problem, v), 4,
+     "xstack: got shape (4,), expected (12,)"),
+    (lambda state, problem, v: batch.value_function(problem, v), 12,
+     "q: got shape (12,), expected (4,)"),
+], ids=["ell_error", "direction_bounds", "membership", "objective", "value_function"])
+def test_vector_length_message(query, size, message):
+    rng = np.random.default_rng(50)
+    model = random_model(rng, n=4, m=2, p=1, tau=2)
+    ys = random_measurements(rng, model)
+    state = estimator.run(model, ys)[-1]
+    with pytest.raises(DimensionMismatch) as info:
+        query(state, batch.assemble(model, ys), np.ones(size))
+    assert str(info.value) == message
 
 
 def test_run_accepts_flat_measurements_for_scalar_output():
