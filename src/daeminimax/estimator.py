@@ -26,7 +26,10 @@ depends on the model alone; only r_k and alpha_k see the data.  So the
 recursion is split.  :func:`schedule` computes one :class:`Link` per
 step: the kept eigenpairs (V_r, lam_r) of P_k and the transport factors
 of r and alpha, in square-root information form: P_k is never formed,
-only a factor Z_k with P_k = Z_k'Z_k (see :func:`_link`).  The data pass
+only a factor Z_k with P_k = Z_k'Z_k (see :func:`_link`).  On a
+time-invariant model a link depends only on the previous step's
+eigenpairs, which recur exactly, so a recurring input reuses its link
+and each distinct one is factorized once.  The data pass
 maps (r, alpha) through the links and factorizes nothing.  The model
 keeps its last schedule, and its matrices are read-only so that schedule
 cannot go stale.  :func:`init` and :func:`step` compute and apply one
@@ -296,22 +299,36 @@ def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
 
     Each step reuses every product of the step before whose matrices are
     the same objects (the factors of S_k and R_k and the products with
-    them), so a time-invariant model factors each weight once.  The model
-    keeps its last schedule, so a second call with the same ``rank_tol``
-    factorizes nothing; the model's matrices are read-only, so the kept
-    schedule cannot go stale.
+    them), so a time-invariant model factors each weight once.  While the
+    products stay the same, a link is a function of its input
+    (V_{k-1}, lam_{k-1}) alone, and in floating point that input falls
+    into an exact cycle; so a step whose input recurs bit for bit takes
+    the link that input produced before, and a time-invariant model
+    factorizes each distinct input once.  When the products change the
+    table of inputs is dropped and no key is computed, so a time-varying
+    model pays nothing for it.  The model keeps its last schedule, so a
+    second call with the same ``rank_tol`` factorizes nothing; the
+    model's matrices are read-only, so the kept schedule cannot go stale.
     """
     kept = model._schedule
     if kept is not None and kept[0] == rank_tol:
         return kept[1]
-    links, V, lam, prod = [], None, None, None
+    links, V, lam, prod, seen = [], None, None, None, {}
     with _quiet():
         for k in range(model.tau + 1):
             # Only the previous step's products are held: keeping every step's
             # would hold them all alive on a time-varying model.
-            prod = _products(model, k, prod)
-            links.append(_link(V, lam, k, rank_tol, prod))
-            V, lam = links[-1].V, links[-1].lam
+            last, prod = prod, _products(model, k, prod)
+            if prod is not last:
+                seen = {}
+                link = _link(V, lam, k, rank_tol, prod)
+            else:
+                key = (V.tobytes(), lam.tobytes())
+                link = seen.get(key)
+                if link is None:
+                    link = seen[key] = _link(V, lam, k, rank_tol, prod)
+            links.append(link)
+            V, lam = link.V, link.lam
     links = tuple(links)
     object.__setattr__(model, "_schedule", (rank_tol, links))
     return links

@@ -216,16 +216,19 @@ def load_inputs_file(path, model: DescriptorModel):
 
 def write_table(path, header, rows) -> None:
     """Write one CSV table; floats at 17 significant digits, ints verbatim."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    str(cell) if isinstance(cell, (int, np.integer)) else format_number(cell)
-                    for cell in row
-                ]
-            )
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(
+                    [
+                        str(cell) if isinstance(cell, (int, np.integer)) else format_number(cell)
+                        for cell in row
+                    ]
+                )
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def read_table(path):

@@ -443,3 +443,35 @@ def test_reproduce_example(tmp_path, capsys):
     assert cli.main(["reproduce-example", "--out-dir", str(rerun_dir)]) == 0
     for name in names:
         assert (rerun_dir / name).read_bytes() == first[name]
+
+
+def test_reproduce_example_reports_coverage_of_the_truth(tmp_path, capsys):
+    assert cli.main(["reproduce-example", "--out-dir", str(tmp_path)]) == 0
+    line = next(text for text in capsys.readouterr().out.splitlines() if "coverage" in text)
+    assert 0.0 < float(line.rsplit(":", 1)[1]) <= 1.0
+
+
+def test_reproduce_example_fails_when_bounds_miss_the_truth(tmp_path, capsys, monkeypatch):
+    radius = estimator.radius
+    monkeypatch.setattr(estimator, "radius", lambda report, ell: 0.5 * radius(report, ell))
+    assert cli.main(["reproduce-example", "--out-dir", str(tmp_path)]) == 1
+    assert "outside its bounds" in capsys.readouterr().err
+
+
+# --- unwritable outputs ------------------------------------------------
+
+def test_estimate_unwritable_out_exits_2(scalar_setup, tmp_path, capsys):
+    spec, ys = scalar_setup
+    out = tmp_path / "missing" / "est.csv"
+    assert cli.main(["estimate", "--spec", spec, "--measurements", ys, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}:") and "Traceback" not in err
+
+
+def test_reproduce_example_out_dir_under_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / "curves"
+    assert cli.main(["reproduce-example", "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out_dir}:") and "Traceback" not in err

@@ -310,6 +310,52 @@ def test_schedule_reuse_is_bit_identical(n, m, p):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def _chained_links(model):
+    """Each link computed afresh from the one before, as init and step do."""
+    links, V, lam = [], None, None
+    with estimator._quiet():
+        for k in range(model.tau + 1):
+            links.append(estimator._link(V, lam, k, 0.0, estimator._products(model, k)))
+            V, lam = links[-1].V, links[-1].lam
+    return links
+
+
+def _assert_schedule_is_the_chain(model):
+    links = estimator.schedule(model)
+    assert len(links) == model.tau + 1
+    for got, want in zip(links, _chained_links(model)):
+        for name in ("V", "lam", "E", "L"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    return links
+
+
+def test_schedule_reuses_the_link_of_a_recurring_input():
+    # The scalar chain's P_k settles into a cycle of 20 distinct floats.
+    one = np.array([[1.0]])
+    tau = 300
+    links = _assert_schedule_is_the_chain(DescriptorModel.constant(one, one, one, one, one, tau))
+    assert len({id(link) for link in links}) < tau + 1
+
+
+@pytest.mark.parametrize("n, m, p", [(4, 4, 1), (4, 2, 1)])
+def test_schedule_with_reuse_equals_the_chain(n, m, p):
+    # A constant regular model and a constant noncausal one (m + p < n).
+    _assert_schedule_is_the_chain(_constant_model(np.random.default_rng(42), n, m, p, tau=300))
+
+
+def test_schedule_drops_reuse_when_a_weight_switches():
+    # S switches to another matrix and back mid-horizon: a link reused
+    # across the switch would carry the other weight.
+    rng = np.random.default_rng(49)
+    base = _constant_model(rng, 4, 2, 1, tau=120)
+    other = random_psd_weight(rng, 2)
+    S = [base.S[0]] * 40 + [other] * 40 + [base.S[0]] * 41
+    model = DescriptorModel.from_sequences(base.F, base.C, base.H, S, base.R)
+    assert model.S[39] is model.S[80] is not model.S[40]
+    _assert_schedule_is_the_chain(model)
+
+
 def test_schedule_factors_a_repeated_weight_once(factorizations):
     rng = np.random.default_rng(48)
     # One Cholesky factor per distinct S and R object, k = 0 included.

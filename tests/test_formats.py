@@ -75,6 +75,11 @@ def test_read_table_empty_file(tmp_path):
         formats.read_table(path)
 
 
+def test_write_table_unwritable_path_is_a_parse_error(tmp_path):
+    with pytest.raises(ParseError, match="No such file"):
+        formats.write_table(tmp_path / "missing" / "out.csv", ["k"], [[0]])
+
+
 # --- model documents --------------------------------------------------
 
 def test_load_model_constant_matrices():
