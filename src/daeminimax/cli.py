@@ -20,14 +20,16 @@ import numpy as np
 
 from . import batch, demo, estimator, kalman
 from .errors import (
+    DimensionMismatch,
     EstimationError,
     InconsistentData,
     InconsistentDynamics,
+    InvalidMatrix,
     ParseError,
     SingularMatrix,
 )
 from .formats import format_number, load_inputs_file, load_model_file, measurement_rows, write_table
-from .linalg import EPS, pinv, range_projector
+from .linalg import EPS, as_vector, pinv, range_projector
 from .model import budget, simulate, truncate, validate
 
 EXIT_OK = 0
@@ -49,15 +51,13 @@ def _load_valid_model(path):
 
 
 def _parse_direction(text, n):
+    name = f"direction {text!r}"
     try:
-        vec = np.array([float(part) for part in text.split(",")], dtype=float)
+        return as_vector([float(part) for part in text.split(",")], name, n)
     except ValueError as exc:
-        raise ParseError(f"bad direction {text!r}: {exc}") from exc
-    if vec.shape != (n,):
-        raise ParseError(f"direction {text!r} has {vec.size} components, expected {n}")
-    if not np.all(np.isfinite(vec)):
-        raise ParseError(f"direction {text!r} has non-finite components")
-    return vec
+        raise ParseError(f"{name}: {exc}") from exc
+    except (InvalidMatrix, DimensionMismatch) as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def cmd_simulate(args) -> int:
@@ -66,7 +66,7 @@ def cmd_simulate(args) -> int:
         override = load_inputs_file(args.inputs, model)
         inputs = {key: override[key] if override[key] is not None else inputs[key]
                   for key in inputs}
-    traj = simulate(model, inputs["f"], inputs["g"], inputs["w"])
+    traj = simulate(model, inputs["f"], inputs["g"], inputs["w"], args.rank_tol)
     used = budget(model, inputs["f"], inputs["g"])
     header = (
         ["k"]
@@ -136,12 +136,15 @@ def cmd_compare(args) -> int:
     states = estimator.run(model, ys, args.rank_tol)
     worst = 0.0
     if args.mode == "kalman":
-        flags = kalman.check_regularity(model, args.rank_tol)
-        bad = [k for k, ok in enumerate(flags) if not ok]
-        if bad:
+        try:
+            kstates = kalman.run_kalman(model, ys, args.rank_tol)
+        except SingularMatrix:
+            flags = kalman.check_regularity(model, args.rank_tol)
+            bad = [k for k, ok in enumerate(flags) if not ok]
+            if not bad:
+                raise
             print(f"regularity violated at steps {bad}: rank [F_k; H_k] < n", file=sys.stderr)
             return EXIT_REGULARITY
-        kstates = kalman.run_kalman(model, ys, args.rank_tol)
         print("k,state_discrepancy")
         for state, kstate in zip(states, kstates):
             disc = float(np.linalg.norm(estimator.estimate(state).xhat - kstate.x))

@@ -215,18 +215,12 @@ def load_inputs_file(path, model: DescriptorModel):
 
 
 def write_table(path, header, rows) -> None:
-    """Write one CSV table; floats at 17 significant digits, ints verbatim."""
+    """Write one CSV table, every cell at 17 significant digits (integers exact below 2**53)."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [
-                        str(cell) if isinstance(cell, (int, np.integer)) else format_number(cell)
-                        for cell in row
-                    ]
-                )
+            handle.write(",".join(header) + "\n")
+            handle.writelines(line % tuple(row) for row in rows)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -224,7 +224,7 @@ def _input_rows(value, count: int, dim: int, name: str) -> np.ndarray:
     return np.zeros((count, dim)) if value is None else as_rows(value, count, dim, name)
 
 
-def simulate(model: DescriptorModel, f, g, w=None) -> Trajectory:
+def simulate(model: DescriptorModel, f, g, w=None, rank_tol: float = 0.0) -> Trajectory:
     """Roll the implicit recursion forward, selecting one exact trajectory.
 
     Each step solves ``F[k+1] x_{k+1} = C[k] x_k + f_{k+1}`` in the least
@@ -246,6 +246,8 @@ def simulate(model: DescriptorModel, f, g, w=None) -> Trajectory:
         Output noises, shape (tau+1, p).
     w : array_like, optional
         Free components, shape (tau+1, n); zeros when omitted.
+    rank_tol : float
+        Relative cutoff of ``pinv(F)``; 0 selects the default.
 
     Raises
     ------
@@ -265,7 +267,7 @@ def simulate(model: DescriptorModel, f, g, w=None) -> Trajectory:
     for k in range(tau + 1):
         Fk = model.F[k]
         rhs = f[0] if k == 0 else model.C[k - 1] @ states[k - 1] + f[k]
-        Fp = pinv(Fk)
+        Fp = pinv(Fk, rank_tol)
         x = Fp @ rhs + (eye - Fp @ Fk) @ w[k]
         residual = float(np.linalg.norm(Fk @ x - rhs))
         if residual > SIM_RESIDUAL_TOL:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import feasible_data, random_model
-from daeminimax import cli, demo, estimator
+from daeminimax import cli, demo, estimator, kalman
 from daeminimax.formats import load_model_file, measurement_rows, read_table, write_table
 
 
@@ -253,6 +253,23 @@ def test_simulate_inconsistent_dynamics_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rank_tol, code", [("0", 0), ("0.5", 3)])
+def test_simulate_applies_rank_tol_to_its_pseudoinverse(tmp_path, capsys, rank_tol, code):
+    # At a cutoff of 0.5, pinv(F_0) drops the singular value 0.3 and leaves
+    # a residual of 0.5 in the second dynamics row.
+    doc = {
+        "n": 2, "m": 2, "p": 1, "tau": 1,
+        "F": [[1.0, 0.0], [0.0, 0.3]], "C": [[1.0, 0.0], [0.0, 1.0]], "H": [[1.0, 0.0]],
+        "S": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]],
+        "f": [[0.5, 0.5], [0.0, 0.0]],
+    }
+    spec = write_json(tmp_path / "model.json", doc)
+    rc = cli.main(["simulate", "--spec", spec, "--out", str(tmp_path / "traj.csv"),
+                   "--rank-tol", rank_tol])
+    assert rc == code
+    assert ("residual" in capsys.readouterr().err) == (code == 3)
+
+
 def test_malformed_json_exits_2_with_line(tmp_path, capsys):
     spec = tmp_path / "broken.json"
     spec.write_text('{\n "n": 1,\n}\n')
@@ -346,6 +363,24 @@ def test_compare_kalman_regularity_violation_exits_5(tmp_path, capsys):
                    "--mode", "kalman"])
     assert rc == 5
     assert "regularity violated" in capsys.readouterr().err
+
+
+def test_compare_kalman_decides_each_step_regularity_once(tmp_path, capsys, monkeypatch):
+    tau = 5
+    spec = write_json(tmp_path / "model.json", scalar_doc(tau=tau))
+    ys = tmp_path / "ys.csv"
+    write_table(ys, ["k", "y0"], [[k, 0.1 * k] for k in range(tau + 1)])
+    numerical_rank, calls = kalman.numerical_rank, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return numerical_rank(*args, **kwargs)
+
+    monkeypatch.setattr(kalman, "numerical_rank", counted)
+    rc = cli.main(["compare", "--spec", spec, "--measurements", str(ys), "--mode", "kalman"])
+    assert rc == 0
+    assert len(calls) == tau + 1
+    assert capsys.readouterr().out.startswith("k,state_discrepancy\n")
 
 
 def test_compare_absurd_rank_tol_exits_1(tmp_path, capsys):

@@ -61,6 +61,22 @@ def test_write_table_byte_identical_across_runs(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_write_table_pins_the_bytes_of_every_cell_kind(tmp_path):
+    path = tmp_path / "kinds.csv"
+    rows = [
+        [3, np.int64(-7), 0, 1, 2**53],
+        [-0.0, 0.1, 1e-300, math.nan, math.inf],
+        [np.float64(-0.0), np.float64(math.nan), -math.inf, np.int64(0), np.int64(1)],
+    ]
+    formats.write_table(path, ["k", "a", "b", "c", "d"], rows)
+    assert path.read_bytes() == (
+        b"k,a,b,c,d\n"
+        b"3,-7,0,1,9007199254740992\n"
+        b"-0,0.10000000000000001,1e-300,nan,inf\n"
+        b"-0,nan,-inf,0,1\n"
+    )
+
+
 def test_read_table_reports_bad_cell_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("k,y0\n0,1.0\n1,oops\n")
