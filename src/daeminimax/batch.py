@@ -16,12 +16,12 @@ implementation the recursion is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .linalg import as_rows, as_vector, pinv, relative_cutoff, symmetrize
+from .linalg import as_rows, as_vector, relative_cutoff
 from .model import DescriptorModel
 
 __all__ = [
@@ -93,49 +93,47 @@ def objective(problem: BatchProblem, x) -> float:
 
 def homogeneous_objective(problem: BatchProblem, x) -> float:
     """I1(x), the same functional with the measurement data removed."""
-    x = as_vector(x, "xstack", problem.L.shape[1])
-    Lx = problem.L @ x
-    Hx = problem.H @ x
-    return float(Lx @ (problem.Q1 @ Lx) + Hx @ (problem.Q2 @ Hx))
+    return objective(replace(problem, y=np.zeros_like(problem.y)), x)
 
 
 def solve(problem: BatchProblem, rank_tol: float = 0.0) -> BatchSolution:
-    """Minimum-norm minimizer of I via the normal equations.
+    """Minimum-norm minimizer of I by least squares on the weighted stack.
 
-    xstack = pinv(L' Q1 L + H' Q2 H) (H' Q2 y); the normal matrix is kept
-    on the solution so callers can verify the optimality residual.
+    The normal matrix M'M = L' Q1 L + H' Q2 H is kept on the solution so
+    callers can verify the optimality residual.
     """
-    N = symmetrize(problem.L.T @ problem.Q1 @ problem.L + problem.H.T @ problem.Q2 @ problem.H)
-    rhs = problem.H.T @ (problem.Q2 @ problem.y)
-    xstack = pinv(N, rank_tol) @ rhs
+    M, d, rcond = _weighted_stack(problem, rank_tol)
+    xstack = np.linalg.lstsq(M, d, rcond=rcond)[0]
     value = objective(problem, xstack)
     if not np.isfinite(value) or not np.all(np.isfinite(xstack)):
         raise NumericalBreakdown("batch solve produced non-finite values")
-    return BatchSolution(xstack=xstack, minI=float(value), normal_matrix=N)
+    return BatchSolution(xstack=xstack, minI=float(value), normal_matrix=M.T @ M)
 
 
-def _weighted_stack(problem: BatchProblem):
-    # Cholesky square roots turn I(x) into a plain residual norm:
-    # I(x) = ||M x - d||^2 with M = [W1 L; W2 H], d = [0; W2 y].
+def _weighted_stack(problem: BatchProblem, rank_tol: float):
+    # Cholesky square roots turn I(x) into a plain residual norm,
+    # I(x) = ||M x - d||^2 with M = [W1 L; W2 H], d = [0; W2 y].  rcond keeps
+    # sigma^2 > cutoff * sigma_max^2 (the schedule's rule), as pinv(M'M) would.
     W1 = np.linalg.cholesky(problem.Q1).T
     W2 = np.linalg.cholesky(problem.Q2).T
     M = np.vstack([W1 @ problem.L, W2 @ problem.H])
     d = np.concatenate([np.zeros(problem.L.shape[0]), W2 @ problem.y])
-    return M, d
+    return M, d, np.sqrt(relative_cutoff(rank_tol, (M.shape[1], M.shape[1])))
 
 
 def value_function(problem: BatchProblem, q, rank_tol: float = 0.0) -> float:
     """Minimum of I over trajectories whose final state is pinned to q.
 
     Minimizes over x_0..x_{tau-1} by dense least squares with the last
-    state block held at q.  As a function of q this is the quadratic
-    <P_tau q, q> - 2 <r_tau, q> + alpha_tau the recursion maintains.
+    state block held at q, at the cutoff of ``solve``.  As a function of
+    q this is the quadratic <P_tau q, q> - 2 <r_tau, q> + alpha_tau the
+    recursion maintains.
     """
     q = as_vector(q, "q", problem.n)
-    M, d = _weighted_stack(problem)
+    M, d, rcond = _weighted_stack(problem, rank_tol)
     free = problem.tau * problem.n
     Mz, rhs = M[:, :free], d - M[:, free:] @ q
-    z = np.linalg.lstsq(Mz, rhs, rcond=relative_cutoff(rank_tol, Mz.shape))[0]
+    z = np.linalg.lstsq(Mz, rhs, rcond=rcond)[0]
     residual = Mz @ z - rhs
     return float(residual @ residual)
 

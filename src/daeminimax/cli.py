@@ -133,9 +133,9 @@ def cmd_observability(args) -> int:
 def cmd_compare(args) -> int:
     model, _ = _load_valid_model(args.spec)
     ys = measurement_rows(args.measurements, model)
-    states = estimator.run(model, ys, args.rank_tol)
     worst = 0.0
     if args.mode == "kalman":
+        # An irregular model exits 5 here, before it pays for the recursion.
         try:
             kstates = kalman.run_kalman(model, ys, args.rank_tol)
         except SingularMatrix:
@@ -145,12 +145,14 @@ def cmd_compare(args) -> int:
                 raise
             print(f"regularity violated at steps {bad}: rank [F_k; H_k] < n", file=sys.stderr)
             return EXIT_REGULARITY
+        states = estimator.run(model, ys, args.rank_tol)
         print("k,state_discrepancy")
         for state, kstate in zip(states, kstates):
             disc = float(np.linalg.norm(estimator.estimate(state).xhat - kstate.x))
             worst = max(worst, disc)
             print(f"{state.k},{format_number(disc)}")
     else:
+        states = estimator.run(model, ys, args.rank_tol)
         print("k,state_discrepancy,beta_discrepancy")
         for k, state in enumerate(states):
             problem = batch.assemble(truncate(model, k), ys[: k + 1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import feasible_data, random_measurements, random_model
-from daeminimax import batch
+from daeminimax import batch, estimator
 from daeminimax.model import DescriptorModel
 
 
@@ -121,3 +121,22 @@ def test_feasible_truth_bounds_minimum():
         # The generating trajectory is one admissible competitor.
         assert sol.minI <= batch.objective(prob, xs.ravel()) + 1e-9
         assert sol.minI <= 0.9 + 1e-9
+
+
+@pytest.mark.parametrize("tol, expected", [(0.25, 1.0), (0.0, 0.0)])
+def test_oracle_and_recursion_share_the_cutoff(tol, expected):
+    # The normal matrix is diag(1, 0.16, 1, 1): a cutoff of 0.25 drops the
+    # weakly measured x0[1], so the measurement y0[1] = 1 stays unexplained.
+    # The same decision shows on the singular value 0.4 of the weighted stack.
+    zero, eye = np.zeros((2, 2)), np.eye(2)
+    model = DescriptorModel.from_sequences(
+        [zero, eye], [zero], [np.diag([1.0, 0.4]), zero], [eye, eye], [eye, eye])
+    ys = np.array([[0.0, 1.0], [0.0, 0.0]])
+    prob = batch.assemble(model, ys)
+    sol = batch.solve(prob, tol)
+    q = sol.xstack[-2:]
+    state = estimator.run(model, ys, tol)[-1]
+    assert sol.minI == pytest.approx(expected, abs=1e-12)
+    assert batch.value_function(prob, q, tol) == pytest.approx(expected, abs=1e-12)
+    recursion = q @ state.P @ q - 2.0 * state.r @ q + state.alpha
+    assert recursion == pytest.approx(expected, abs=1e-12)

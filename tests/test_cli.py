@@ -365,6 +365,25 @@ def test_compare_kalman_regularity_violation_exits_5(tmp_path, capsys):
     assert "regularity violated" in capsys.readouterr().err
 
 
+def test_compare_kalman_rejects_an_irregular_model_before_the_recursion(
+        tmp_path, capsys, monkeypatch):
+    spec = write_json(tmp_path / "demo.json", demo.model_document(tau=3))
+    traj = tmp_path / "traj.csv"
+    assert cli.main(["simulate", "--spec", spec, "--out", str(traj)]) == 0
+    argv = ["compare", "--spec", spec, "--measurements", str(traj), "--mode", "kalman"]
+    capsys.readouterr()
+    assert cli.main(argv) == 5
+    expected = capsys.readouterr().err
+
+    def no_recursion(*args, **kwargs):
+        raise AssertionError("estimator.run called on an irregular model")
+
+    monkeypatch.setattr(estimator, "run", no_recursion)
+    assert cli.main(argv) == 5
+    assert capsys.readouterr().err == expected
+    assert expected.startswith("regularity violated at steps [")
+
+
 def test_compare_kalman_decides_each_step_regularity_once(tmp_path, capsys, monkeypatch):
     tau = 5
     spec = write_json(tmp_path / "model.json", scalar_doc(tau=tau))

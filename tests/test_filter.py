@@ -322,3 +322,40 @@ def test_xhat_in_range_of_p():
         recon = pinv(state.P) @ (state.P @ report.xhat)
         assert np.linalg.norm(recon - report.xhat) <= 1e-10
         assert numerical_rank(state.P) == report.observable_rank
+
+
+def _attainment_instances():
+    rng = np.random.default_rng(39)
+    for _ in range(20):
+        yield rng, well_conditioned_instance(rng)[0]
+    for _ in range(20):
+        yield rng, well_conditioned_instance(rng, n=4, m=2, p=1)[0]
+
+
+def test_minimax_bound_is_attained():
+    # Tightness of the guaranteed interval against the independent batch
+    # route: the boundary point q* along an observable direction l has
+    # pinned-state minimum exactly 1, the unit budget, and a step along the
+    # null space of P_tau leaves the minimum at 1 - beta.  The bound is
+    # acceptance criterion 2's.
+    noncausal = 0
+    for rng, model in _attainment_instances():
+        _, _, _, ys = feasible_data(rng, model)
+        report = estimator.estimate(estimator.run(model, ys)[-1])
+        prob = batch.assemble(model, ys)
+        ell = report.basis @ rng.normal(size=report.observable_rank)
+        radius = estimator.radius(report, ell)
+        pl = report.basis @ ((report.basis.T @ ell) / report.lam)
+        qstar = report.xhat + radius * pl / (pl @ ell)
+        assert abs(batch.value_function(prob, qstar) - 1.0) <= 1e-8
+        assert ell @ qstar == pytest.approx(ell @ report.xhat + radius, rel=1e-12, abs=1e-12)
+        if report.noncausality_index == 0:
+            continue
+        noncausal += 1
+        null = np.linalg.svd(report.basis.T)[2][report.observable_rank:]
+        v = null.T @ rng.normal(size=report.noncausality_index)
+        v /= np.linalg.norm(v)
+        for t in (1.0, 10.0):
+            value = batch.value_function(prob, report.xhat + t * v)
+            assert abs(value - (1.0 - report.beta)) <= 1e-8
+    assert noncausal >= 10, "too few noncausal instances reach the null-space check"
