@@ -57,11 +57,17 @@ class BatchProblem:
 
 @dataclass(frozen=True)
 class BatchSolution:
-    """Minimum-norm minimizer of I, its value, and the normal matrix."""
+    """Minimum-norm minimizer of I, its value, and the weighted stack M
+    with I(x) = ||M x - d||^2."""
 
     xstack: np.ndarray
     minI: float
-    normal_matrix: np.ndarray
+    stack: np.ndarray
+
+    @property
+    def normal_matrix(self) -> np.ndarray:
+        """The normal matrix M'M = L' Q1 L + H' Q2 H, formed on request."""
+        return self.stack.T @ self.stack
 
 
 def assemble(model: DescriptorModel, ys) -> BatchProblem:
@@ -99,15 +105,15 @@ def homogeneous_objective(problem: BatchProblem, x) -> float:
 def solve(problem: BatchProblem, rank_tol: float = 0.0) -> BatchSolution:
     """Minimum-norm minimizer of I by least squares on the weighted stack.
 
-    The normal matrix M'M = L' Q1 L + H' Q2 H is kept on the solution so
-    callers can verify the optimality residual.
+    The stack M is kept on the solution, so callers can form the normal
+    matrix M'M = L' Q1 L + H' Q2 H to verify the optimality residual.
     """
     M, d, rcond = _weighted_stack(problem, rank_tol)
     xstack = np.linalg.lstsq(M, d, rcond=rcond)[0]
     value = objective(problem, xstack)
     if not np.isfinite(value) or not np.all(np.isfinite(xstack)):
         raise NumericalBreakdown("batch solve produced non-finite values")
-    return BatchSolution(xstack=xstack, minI=float(value), normal_matrix=M.T @ M)
+    return BatchSolution(xstack=xstack, minI=float(value), stack=M)
 
 
 def _weighted_stack(problem: BatchProblem, rank_tol: float):

@@ -91,23 +91,18 @@ def cmd_estimate(args) -> int:
     ys = measurement_rows(args.measurements, model)
     directions = [_parse_direction(text, model.n) for text in args.direction or []]
     states = estimator.run(model, ys, args.rank_tol)
+    got = estimator.answer(states, directions)
 
     header = ["k"] + [f"xhat{i}" for i in range(model.n)] + ["beta"]
     for j in range(len(directions)):
         header += [f"dir{j}_value", f"dir{j}_low", f"dir{j}_high", f"dir{j}_observable"]
-    rows = []
-    for state in states:
-        report = estimator.estimate(state)
-        row = [state.k, *report.xhat, report.beta]
-        for ell in directions:
-            value = float(ell @ report.xhat)
-            if not report.consistent:
-                row += [value, math.nan, math.nan, 0]
-                continue
-            radius = estimator.radius(report, ell)
-            row += [value, value - radius, value + radius, int(radius < math.inf)]
-        rows.append(row)
-    write_table(args.out, header, rows)
+    # Per direction: value, low, high, observable; NaN bounds where inconsistent.
+    value, radius = got.value, got.radius
+    bounds = np.stack((value, value - radius, value + radius, radius < math.inf), axis=2)
+    steps = np.arange(len(states))[:, None]
+    table = np.hstack((steps, got.xhat, got.beta[:, None], bounds.reshape(len(states), -1)))
+    write_table(args.out, header, table)
+    report = estimator.estimate(states[-1])
     summary = {
         "final_rank": report.observable_rank,
         "noncausality_index": report.noncausality_index,
@@ -145,12 +140,12 @@ def cmd_compare(args) -> int:
                 raise
             print(f"regularity violated at steps {bad}: rank [F_k; H_k] < n", file=sys.stderr)
             return EXIT_REGULARITY
-        states = estimator.run(model, ys, args.rank_tol)
+        xhats = estimator.answer(estimator.run(model, ys, args.rank_tol)).xhat
         print("k,state_discrepancy")
-        for state, kstate in zip(states, kstates):
-            disc = float(np.linalg.norm(estimator.estimate(state).xhat - kstate.x))
+        for k, (xhat, kstate) in enumerate(zip(xhats, kstates)):
+            disc = float(np.linalg.norm(xhat - kstate.x))
             worst = max(worst, disc)
-            print(f"{state.k},{format_number(disc)}")
+            print(f"{k},{format_number(disc)}")
     else:
         states = estimator.run(model, ys, args.rank_tol)
         print("k,state_discrepancy,beta_discrepancy")
@@ -181,19 +176,19 @@ def cmd_reproduce(args) -> int:
         "q2": np.array([0.0, 1.0, 0.0, 0.0]),
     }
 
+    got = estimator.answer(states, list(directions.values()))
+    indices = [model.n - state.lam.size for state in states]
     truth_rows, estimate_rows, bound_rows = [], [], []
     worst_coverage = 0.0
-    indices = [estimator.estimate(states[0]).noncausality_index]
     for k in range(1, horizon + 1):
-        report = estimator.estimate(states[k])
-        indices.append(report.noncausality_index)
+        beta = float(got.beta[k])
+        if beta < -estimator.BETA_TOL:
+            raise InconsistentData(f"beta = {beta:.3e} below -{estimator.BETA_TOL:g}")
         est_row, bnd_row = [k], [k]
-        for name, ell in directions.items():
-            value = float(ell @ report.xhat)
-            err = estimator.radius(report, ell)
+        for j, name in enumerate(directions):
+            value, err = float(got.value[k, j]), float(got.radius[k, j])
             if name == "q1":
-                worst_coverage = max(worst_coverage,
-                                     _coverage(plant[k, 0], value, err, report.beta))
+                worst_coverage = max(worst_coverage, _coverage(plant[k, 0], value, err, beta))
             est_row.append(value)
             bnd_row.extend([value - err, value + err])
         truth_rows.append([k, plant[k, 0], plant[k, 1]])

@@ -42,13 +42,22 @@ it: sigma^2 > rank_tol * sigma_max^2, with the default (0) at eps * n.
 An exact zero comes out of a factor near eps * sigma_max, far below.
 
 Each state holds (V_r, lam_r) and the run's ``rank_tol``, and its ``P``
-is assembled from them on request.  :func:`estimate` solves a state once
-from them: xhat = V_r (V_r' r / lam_r), rank = len(lam_r), projector
-V_r V_r'; its report keeps the eigenpairs, so :func:`radius` answers
-every direction without solving again.  The cutoff has chosen the kept
-eigenpairs and is not applied twice: whether a direction lies in
-range(P_k) is decided at the roundoff of its projection onto V_r, and
-an interval is <ell, xhat> -/+ radius, infinite exactly outside it.
+is assembled from them on request.  Every query is answered by one
+kernel on a stack of steps of one rank q (:func:`_centres` and
+:func:`_direction`): xhat = V_r (V_r' r / lam_r), beta = 1 - alpha +
+|V_r' r / sqrt(lam_r)|^2, and along a direction ell, c = V_r' ell,
+rho^2 = c'(c / lam_r) and the interval <ell, xhat> -/+ radius with
+radius = sqrt(max(beta, 0) rho^2).  :func:`answer` hands the kernel
+every step of a run, one stack per rank; :func:`estimate` and
+:func:`radius` hand it one step.  Each product is a ``np.matvec`` or
+``np.vecdot``, which makes one BLAS call (gemv or dot) per step, the
+call of that step's product alone, so a step's answers do not depend on
+the steps stacked with it and the two routes agree bit for bit.  The
+report of :func:`estimate` keeps the eigenpairs, so :func:`radius`
+answers every direction without solving again.  The cutoff has chosen
+the kept eigenpairs and is not applied twice: whether a direction lies
+in range(P_k) is decided at the roundoff of its projection onto V_r,
+and the radius is infinite exactly outside it.
 
 A negative beta_k (below -BETA_TOL) certifies that no trajectory within
 the unit budget explains the data; it is reported, never clamped.
@@ -57,7 +66,7 @@ the unit budget explains the data; it is reported, never clamped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import inf, nan, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -77,10 +86,12 @@ __all__ = [
     "FilterState",
     "EstimateReport",
     "Link",
+    "Answers",
     "schedule",
     "init",
     "step",
     "run",
+    "answer",
     "estimate",
     "radius",
     "ell_error",
@@ -95,6 +106,10 @@ BETA_TOL = 1e-9
 MEMBERSHIP_SLACK = 1e-9
 # Singular values of a factor at or above this square to infinity.
 _SQRT_MAX = sqrt(float(np.finfo(np.float64).max))
+# Most elements in one stack of kept bases handed to the query kernel: a
+# larger group of steps is answered in pieces, so a wide state never
+# forms a (tau+1, q, n) array.
+_STACK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -142,6 +157,21 @@ class EstimateReport:
         """Orthogonal projector onto range(P_k); the exact identity at full rank."""
         n = self.basis.shape[0]
         return np.eye(n) if self.observable_rank == n else self.basis @ self.basis.T
+
+
+class Answers(NamedTuple):
+    """Every step's answers from :func:`answer`, for T steps and d directions.
+
+    ``xhat`` is (T, n) and ``beta`` (T,); along direction j, ``value[:, j]``
+    is <ell_j, xhat_k> and ``value -/+ radius`` the guaranteed interval.
+    ``radius`` is inf where ell_j leaves range(P_k) and NaN where the data
+    are inconsistent (beta not at or above -BETA_TOL).
+    """
+
+    xhat: np.ndarray
+    beta: np.ndarray
+    value: np.ndarray
+    radius: np.ndarray
 
 
 class Link(NamedTuple):
@@ -387,6 +417,74 @@ def _require_consistent(report: EstimateReport) -> None:
         raise InconsistentData(f"beta = {report.beta:.3e} below -{BETA_TOL:g}")
 
 
+def _centres(Vt: np.ndarray, lam: np.ndarray, r: np.ndarray, alpha) -> tuple:
+    """xhat (G, n) and beta (G,) of a stack of G steps of one rank q.
+
+    ``Vt`` (G, q, n) holds each step's V_r', ``lam`` (G, q) its kept
+    eigenvalues, ``r`` (G, n) and ``alpha`` (G,) its data; one step may
+    come without the stack axis.  Each product makes one BLAS call per
+    step (see the module notes).
+    """
+    s = np.sqrt(lam)
+    u = np.matvec(Vt, r) / s
+    beta = (1.0 - alpha) + np.vecdot(u, u)
+    return np.matvec(Vt.mT, u / s), beta
+
+
+def _direction(Vt: np.ndarray, lam: np.ndarray, xhat: np.ndarray, beta,
+               ell: np.ndarray) -> tuple:
+    """<ell, xhat> and the radius along ``ell`` for the stack of :func:`_centres`.
+
+    The radius is sqrt(max(beta, 0) rho^2) with c = V_r' ell and
+    rho^2 = c'(c / lam), and inf where ell has a residual off V_r above
+    the projection's roundoff max(eps * n, 8 eps) * |ell|.
+    """
+    c = np.matvec(Vt, ell)
+    radius = np.sqrt(np.maximum(beta, 0.0) * np.vecdot(c, c / lam))
+    if lam.shape[-1] < ell.size:
+        off = ell - np.matvec(Vt.mT, c)
+        tol = max(EPS * ell.size, 8.0 * EPS) * float(np.linalg.norm(ell))
+        radius = np.where(np.sqrt(np.vecdot(off, off)) > tol, inf, radius)
+    return np.vecdot(ell, xhat), radius
+
+
+def answer(states, ells=()) -> Answers:
+    """Every state's estimate and beta, and along each of ``ells`` its
+    guaranteed interval: :class:`Answers`, row k for ``states[k]``.
+
+    The states are stacked by rank, one stack per distinct rank (split
+    so that no stack of bases exceeds _STACK_ELEMENTS), and each stack
+    goes through the kernel of :func:`estimate` and :func:`radius`, so
+    row k equals their answers for ``states[k]`` bit for bit, except
+    that the radius is NaN wherever the data are inconsistent.  Steps
+    that share a link copy its basis into the stack from one array.
+    Each ell must be a finite float vector of length n, as
+    :func:`radius` takes it.
+    """
+    n, count = states[0].r.size, len(states)
+    ranks = np.fromiter((state.lam.size for state in states), int, count)
+    xhat, beta = np.empty((count, n)), np.empty(count)
+    value, radius = np.empty((count, len(ells))), np.empty((count, len(ells)))
+    for q in set(ranks.tolist()):
+        steps = np.flatnonzero(ranks == q)
+        size = max(1, _STACK_ELEMENTS // max(1, q * n))
+        for at in range(0, steps.size, size):
+            idx = steps[at:at + size]
+            group = [states[k] for k in idx]
+            links = {}
+            slot = [links.setdefault(id(state.V), (len(links), state))[0] for state in group]
+            Vt = np.stack([state.V.T for _, state in links.values()])[slot]
+            lam = np.stack([state.lam for _, state in links.values()])[slot]
+            r = np.stack([state.r for state in group])
+            alpha = np.fromiter((state.alpha for state in group), float, len(group))
+            centre, b = _centres(Vt, lam, r, alpha)
+            xhat[idx], beta[idx] = centre, b
+            for j, ell in enumerate(ells):
+                value[idx, j], radius[idx, j] = _direction(Vt, lam, centre, b, ell)
+    radius[~(beta >= -BETA_TOL)] = nan
+    return Answers(xhat=xhat, beta=beta, value=value, radius=radius)
+
+
 def estimate(state: FilterState) -> EstimateReport:
     """Central estimate, consistency value beta and observability summary.
 
@@ -396,15 +494,15 @@ def estimate(state: FilterState) -> EstimateReport:
     can produce the processed measurements.
 
     The state holds P's eigenpairs above the run's cutoff:
-    xhat = V (V'r / lam) and beta = 1 - alpha + |V'r / sqrt(lam)|^2.  The
-    report keeps the eigenpairs, so :func:`radius` answers any direction
-    from it without solving again.
+    xhat = V (V'r / lam) and beta = 1 - alpha + |V'r / sqrt(lam)|^2, the
+    query kernel on a stack of one.  The report keeps the eigenpairs, so
+    :func:`radius` answers any direction from it without solving again.
     """
     V, lam = state.V, state.lam
-    u = (V.T @ state.r) / np.sqrt(lam)
-    beta = 1.0 - state.alpha + float(u @ u)
+    xhat, beta = _centres(V.T, lam, state.r, state.alpha)
+    beta = float(beta)
     return EstimateReport(
-        xhat=V @ (u / np.sqrt(lam)),
+        xhat=xhat,
         beta=beta,
         basis=V,
         lam=lam,
@@ -412,6 +510,13 @@ def estimate(state: FilterState) -> EstimateReport:
         noncausality_index=state.r.size - lam.size,
         consistent=beta >= -BETA_TOL,
     )
+
+
+def _along(report: EstimateReport, ell: np.ndarray) -> tuple:
+    """<ell, xhat> and the radius along ell of one report: the query
+    kernel on a stack of one."""
+    value, radius = _direction(report.basis.T, report.lam, report.xhat, report.beta, ell)
+    return float(value), float(radius)
 
 
 def radius(report: EstimateReport, ell: np.ndarray) -> float:
@@ -434,12 +539,7 @@ def radius(report: EstimateReport, ell: np.ndarray) -> float:
         violates the budget.
     """
     _require_consistent(report)
-    c = report.basis.T @ ell
-    if report.observable_rank < ell.size:
-        tol = max(EPS * ell.size, 8.0 * EPS) * float(np.linalg.norm(ell))
-        if float(np.linalg.norm(ell - report.basis @ c)) > tol:
-            return inf
-    return sqrt(max(report.beta, 0.0) * float(c @ (c / report.lam)))
+    return _along(report, ell)[1]
 
 
 def ell_error(state: FilterState, ell) -> float:
@@ -466,10 +566,10 @@ def direction_bounds(state: FilterState, ell):
     """
     ell = as_vector(ell, "ell", state.r.size)
     report = estimate(state)
-    half = radius(report, ell)
+    _require_consistent(report)
+    center, half = _along(report, ell)
     if half == inf:
         raise OutsideObservable("direction outside the observable subspace")
-    center = float(ell @ report.xhat)
     return center - half, center + half
 
 

@@ -208,14 +208,18 @@ def validate(model: DescriptorModel) -> ValidationReport:
     for name, seq, count, _, _ in fields:
         if len(seq) != count:
             issues.append(f"{name} has {len(seq)} entries, expected {count}")
-    checked = {}
+    found = {}
     for name, seq, _, shape, check in fields:
-        for k, mat in enumerate(seq):
-            key = (id(mat), shape, check)
-            if key not in checked:
-                checked[key] = check(mat, shape)
-            if checked[key] is not None:
-                issues.append(f"{name}_{k} {checked[key]}")
+        distinct = {id(mat): mat for mat in seq}
+        for key, mat in distinct.items():
+            if (key, shape, check) not in found:
+                found[key, shape, check] = check(mat, shape)
+        if any(found[key, shape, check] is not None for key in distinct):
+            # Only a field with an issue walks its per-step names.
+            for k, mat in enumerate(seq):
+                issue = found[id(mat), shape, check]
+                if issue is not None:
+                    issues.append(f"{name}_{k} {issue}")
     return ValidationReport(issues=tuple(issues))
 
 

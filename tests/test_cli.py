@@ -506,8 +506,13 @@ def test_reproduce_example_reports_coverage_of_the_truth(tmp_path, capsys):
 
 
 def test_reproduce_example_fails_when_bounds_miss_the_truth(tmp_path, capsys, monkeypatch):
-    radius = estimator.radius
-    monkeypatch.setattr(estimator, "radius", lambda report, ell: 0.5 * radius(report, ell))
+    answer = estimator.answer
+
+    def halved(states, ells=()):
+        got = answer(states, ells)
+        return got._replace(radius=0.5 * got.radius)
+
+    monkeypatch.setattr(estimator, "answer", halved)
     assert cli.main(["reproduce-example", "--out-dir", str(tmp_path)]) == 1
     assert "outside its bounds" in capsys.readouterr().err
 

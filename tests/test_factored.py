@@ -1,11 +1,17 @@
 """The stored eigenpairs of P_k: factorization counts, agreement of every
-set query with the dense pseudoinverse route applied to state.P, the
-model-only schedule kept on the model, and the invariance of the set under
-changes of state coordinates and of equation rows."""
+set query with the dense pseudoinverse route applied to state.P and of the
+rows of CLI ``estimate`` with the per-state queries, the model-only
+schedule kept on the model, and the invariance of the set under changes
+of state coordinates and of equation rows."""
 
+import io
+import json
 import math
+import os
+import tempfile
 import warnings
 from collections import Counter
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -13,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import feasible_data, random_model, random_psd_weight, well_conditioned_instance
-from daeminimax import batch, estimator, formats
+from daeminimax import batch, cli, estimator, formats
 from daeminimax.linalg import EPS, pinv, qform, range_projector, sym_rank, symmetrize
 from daeminimax.model import DescriptorModel, truncate, validate
 
@@ -478,3 +484,89 @@ def test_scaled_models(seed, noncausal, scale):
             assert _close(scale * got.xhat, want.xhat)
             assert _close(got.beta, want.beta)
             assert got.noncausality_index == want.noncausality_index
+
+
+def _estimate_rows(model, ys, directions, constant=False):
+    """Exit code of CLI ``estimate`` on the model, its CSV text, and the
+    same table written from the per-state queries, the CLI's rule applied
+    to ``estimate`` and ``ell_error``.  A constant model is written with
+    one matrix per field, so the loaded model shares them across steps."""
+    doc = {"n": model.n, "m": model.m, "p": model.p, "tau": model.tau}
+    for name in "FCHSR":
+        mats = getattr(model, name)
+        doc[name] = mats[0].tolist() if constant else [mat.tolist() for mat in mats]
+    header = ["k"] + [f"xhat{i}" for i in range(model.n)] + ["beta"]
+    for j in range(len(directions)):
+        header += [f"dir{j}_value", f"dir{j}_low", f"dir{j}_high", f"dir{j}_observable"]
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, meas = os.path.join(tmp, "model.json"), os.path.join(tmp, "ys.csv")
+        out, want = os.path.join(tmp, "est.csv"), os.path.join(tmp, "want.csv")
+        with open(spec, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        formats.write_table(meas, ["k"] + [f"y{i}" for i in range(model.p)],
+                            [[k, *y] for k, y in enumerate(ys)])
+        argv = ["estimate", "--spec", spec, "--measurements", meas, "--out", out]
+        argv += ["--direction=" + ",".join(repr(float(v)) for v in ell) for ell in directions]
+        with redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        loaded, _ = formats.load_model_file(spec)
+        rows = []
+        for state in estimator.run(loaded, formats.measurement_rows(meas, loaded)):
+            report = estimator.estimate(state)
+            row = [state.k, *report.xhat, report.beta]
+            for ell in directions:
+                value = float(ell @ report.xhat)
+                if not report.consistent:
+                    row += [value, math.nan, math.nan, 0]
+                    continue
+                radius = estimator.ell_error(state, ell)
+                row += [value, value - radius, value + radius, int(radius < math.inf)]
+                if radius < math.inf:
+                    assert estimator.direction_bounds(state, ell) == (row[-3], row[-2])
+            rows.append(row)
+        formats.write_table(want, header, rows)
+        with open(out, encoding="utf-8") as got, open(want, encoding="utf-8") as expected:
+            return code, got.read(), expected.read()
+
+
+def _three_directions(rng, model, ys):
+    """One direction in range(P_tau) (zero at rank 0), a random one, which
+    has a component off range(P_k) below full rank, and zero."""
+    final = estimator.run(model, ys)[-1]
+    inside = final.V[:, 0] if final.lam.size else np.zeros(model.n)
+    return [inside, rng.normal(size=model.n), np.zeros(model.n)]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), noncausal=st.booleans(),
+       kind=st.sampled_from(["drawn", "constant", "F=H=0"]), scale=st.sampled_from([1.0, 30.0]))
+def test_estimate_rows_equal_per_state_queries_bit_for_bit(seed, noncausal, kind, scale):
+    # A constant model puts link reuse on the path; F = H = 0 has rank 0 at
+    # every step.  Scaled-up data make some rows inconsistent.
+    rng, model, _ = _screened_instance(seed, noncausal)
+    if kind == "constant":
+        model = DescriptorModel.constant(*(getattr(model, name)[0] for name in "FCHSR"), tau=40)
+    elif kind == "F=H=0":
+        model = _transformed(model, F=np.zeros_like, H=np.zeros_like)
+    ys = scale * feasible_data(rng, model)[3]
+    code, got, want = _estimate_rows(model, ys, _three_directions(rng, model, ys),
+                                     constant=kind == "constant")
+    assert got == want
+    final_beta = float(got.splitlines()[-1].split(",")[model.n + 1])
+    assert code == (cli.EXIT_OK if final_beta >= -estimator.BETA_TOL else cli.EXIT_DATA)
+
+
+@pytest.mark.parametrize("kind", ["regular", "F=H=0"])
+def test_estimate_rows_of_inconsistent_data(kind):
+    # A noncausal model explains any data; its rank-0 variant explains none.
+    rng, model, _ = _screened_instance(7, noncausal=kind != "regular")
+    if kind == "F=H=0":
+        model = _transformed(model, F=np.zeros_like, H=np.zeros_like)
+    ys = 1e3 * feasible_data(rng, model)[3]
+    code, got, want = _estimate_rows(model, ys, _three_directions(rng, model, ys))
+    assert got == want
+    final = got.splitlines()[-1].split(",")
+    assert code == cli.EXIT_DATA and float(final[model.n + 1]) < -estimator.BETA_TOL
+    for j in range(3):
+        value, low, high, observable = final[model.n + 2 + 4 * j:model.n + 6 + 4 * j]
+        assert low == high == "nan" and observable == "0" and value != "nan"
