@@ -39,6 +39,11 @@ EXIT_DYNAMICS = 3
 EXIT_DATA = 4
 EXIT_REGULARITY = 5
 
+# The exit code of each package error: the first kind that matches.
+EXIT_CODES = ((ParseError, EXIT_PARSE), (InconsistentDynamics, EXIT_DYNAMICS),
+              (InconsistentData, EXIT_DATA), (SingularMatrix, EXIT_REGULARITY),
+              (EstimationError, EXIT_ASSERTION))
+
 COMPARE_TOL = 1e-8
 
 
@@ -75,11 +80,9 @@ def cmd_simulate(args) -> int:
         + [f"g{i}" for i in range(model.p)]
         + [f"y{i}" for i in range(model.p)]
     )
-    rows = [
-        [k, *traj.states[k], *traj.inputs[k], *traj.noises[k], *traj.outputs[k]]
-        for k in range(model.tau + 1)
-    ]
-    write_table(args.out, header, rows)
+    steps = np.arange(model.tau + 1)[:, None]
+    write_table(args.out, header,
+                np.hstack((steps, traj.states, traj.inputs, traj.noises, traj.outputs)))
     if used > 1.0:
         print(f"warning: uncertainty budget {format_number(used)} exceeds 1", file=sys.stderr)
     print(f"wrote {args.out} ({model.tau + 1} rows); budget = {format_number(used)}")
@@ -144,7 +147,7 @@ def cmd_compare(args) -> int:
         print("k,state_discrepancy")
         for k, (xhat, kstate) in enumerate(zip(xhats, kstates)):
             disc = float(np.linalg.norm(xhat - kstate.x))
-            worst = max(worst, disc)
+            worst = float(np.max((worst, disc)))  # NaN propagates, unlike max()
             print(f"{k},{format_number(disc)}")
     else:
         states = estimator.run(model, ys, args.rank_tol)
@@ -158,7 +161,7 @@ def cmd_compare(args) -> int:
             report = estimator.estimate(state)
             disc_x = float(np.linalg.norm(proj @ xlast - xhat))
             disc_b = abs(report.beta - (1.0 - solution.minI))
-            worst = max(worst, disc_x, disc_b)
+            worst = float(np.max((worst, disc_x, disc_b)))
             print(f"{k},{format_number(disc_x)},{format_number(disc_b)}")
     print(f"max_discrepancy,{format_number(worst)}")
     return EXIT_OK if worst <= COMPARE_TOL else EXIT_ASSERTION
@@ -171,40 +174,26 @@ def cmd_reproduce(args) -> int:
     states = estimator.run(model, ys.reshape(-1, 1), args.rank_tol)
     # Plant directions: the measured coordinate q1 = (1,0) and the
     # unmeasured coordinate q2 = (0,1), lifted to the 4-state model.
-    directions = {
-        "q1": np.array([1.0, 0.0, 0.0, 0.0]),
-        "q2": np.array([0.0, 1.0, 0.0, 0.0]),
-    }
-
-    got = estimator.answer(states, list(directions.values()))
+    got = estimator.answer(states, np.eye(model.n)[:2])
     indices = [model.n - state.lam.size for state in states]
-    truth_rows, estimate_rows, bound_rows = [], [], []
-    worst_coverage = 0.0
-    for k in range(1, horizon + 1):
-        beta = float(got.beta[k])
-        if beta < -estimator.BETA_TOL:
-            raise InconsistentData(f"beta = {beta:.3e} below -{estimator.BETA_TOL:g}")
-        est_row, bnd_row = [k], [k]
-        for j, name in enumerate(directions):
-            value, err = float(got.value[k, j]), float(got.radius[k, j])
-            if name == "q1":
-                worst_coverage = max(worst_coverage, _coverage(plant[k, 0], value, err, beta))
-            est_row.append(value)
-            bnd_row.extend([value - err, value + err])
-        truth_rows.append([k, plant[k, 0], plant[k, 1]])
-        estimate_rows.append(est_row)
-        bound_rows.append(bnd_row)
+    beta, value, err = got.beta[1:], got.value[1:], got.radius[1:]
+    low = beta < -estimator.BETA_TOL
+    if low.any():
+        raise InconsistentData(f"beta = {beta[low.argmax()]:.3e} below -{estimator.BETA_TOL:g}")
+    worst_coverage = float(np.max(_coverage(plant[1:, 0], value[:, 0], err[:, 0], beta)))
+    steps = np.arange(1, horizon + 1)[:, None]
+    bounds = np.stack((value - err, value + err), axis=2).reshape(horizon, -1)
 
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
         raise ParseError(f"{args.out_dir}: {exc}") from exc
     write_table(os.path.join(args.out_dir, "truth.csv"),
-                ["k", "q1", "q2"], truth_rows)
+                ["k", "q1", "q2"], np.hstack((steps, plant[1:])))
     write_table(os.path.join(args.out_dir, "estimate.csv"),
-                ["k", "q1", "q2"], estimate_rows)
+                ["k", "q1", "q2"], np.hstack((steps, value)))
     write_table(os.path.join(args.out_dir, "bounds.csv"),
-                ["k", "q1_low", "q1_high", "q2_low", "q2_high"], bound_rows)
+                ["k", "q1_low", "q1_high", "q2_low", "q2_high"], np.hstack((steps, bounds)))
 
     print(demo.WEIGHT_NOTE)
     print(f"noncausality index: {_collapse_runs(indices)}")
@@ -212,19 +201,20 @@ def cmd_reproduce(args) -> int:
           "its bounds carry the inf marker")
     print(f"max coverage ratio of the true q1 by its bounds: {format_number(worst_coverage)}")
     print(f"wrote truth.csv, estimate.csv, bounds.csv to {args.out_dir}")
-    if worst_coverage > 1.0:
+    if not worst_coverage <= 1.0:
         print("assertion failed: the true q1 lies outside its bounds", file=sys.stderr)
         return EXIT_ASSERTION
     return EXIT_OK
 
 
-def _coverage(truth, value, err, beta) -> float:
-    """Distance of a true projection from the estimate, as a share of what
-    the membership test allows along a direction of radius ``err``: the
-    radius widened by MEMBERSHIP_SLACK, plus 8 eps relative to the
-    magnitudes compared.  Above 1 the bounds miss the truth."""
-    allowed = err * math.sqrt(1.0 + estimator.MEMBERSHIP_SLACK / beta) if beta > 0.0 else 0.0
-    allowed += 8.0 * EPS * max(1.0, abs(value), abs(truth))
+def _coverage(truth, value, err, beta) -> np.ndarray:
+    """Per step, the distance of a true projection from the estimate, as a
+    share of what the membership test allows along a direction of radius
+    ``err``: the radius widened by MEMBERSHIP_SLACK (no radius where beta <= 0),
+    plus 8 eps relative to the magnitudes compared.  Above 1 the bounds miss the truth."""
+    widen = np.sqrt(1.0 + estimator.MEMBERSHIP_SLACK / np.where(beta > 0.0, beta, math.inf))
+    allowed = np.where(beta > 0.0, err * widen, 0.0)
+    allowed += 8.0 * EPS * np.maximum(1.0, np.maximum(abs(value), abs(truth)))
     return abs(truth - value) / allowed
 
 
@@ -291,21 +281,9 @@ def main(argv=None) -> int:
         if not 0.0 <= args.rank_tol < math.inf:
             raise ParseError(f"--rank-tol must be finite and nonnegative, got {args.rank_tol}")
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InconsistentDynamics as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DYNAMICS
-    except InconsistentData as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except SingularMatrix as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGULARITY
     except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

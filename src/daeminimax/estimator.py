@@ -77,7 +77,7 @@ from .errors import (
     NumericalBreakdown,
     OutsideObservable,
 )
-from .linalg import EPS, as_rows, as_vector, qform, relative_cutoff
+from .linalg import EPS, as_rows, as_vector, kept_count, qform, relative_cutoff
 from .model import DescriptorModel
 
 __all__ = [
@@ -293,14 +293,14 @@ def _link(V_prev, lam_prev, k: int, rank_tol: float, prod: _Products) -> Link:
     else:
         A = np.concatenate((np.sqrt(lam_prev)[:, None] * V_prev.T, prod.G))
         U, s, Vt = _svd(A, k, True)
-        q = int(np.count_nonzero(s > cut * s[0]))
+        q = kept_count(s, cut)
         E = Vt[:q].T / s[:q]
         G_rows = U[lam_prev.size:]
         L = prod.WF.T @ G_rows[:, :q]
         transported = G_rows[:, q:].T @ prod.WF
     Z = np.concatenate((prod.QH, transported))
     _, s, Vt = _svd(Z, k, False)
-    q = int(np.count_nonzero(s > cut * s[0]))
+    q = kept_count(s, cut)
     link = Link(V=Vt[:q].T, lam=s[:q] ** 2, E=E, L=L, HtR=prod.HtR, R=prod.R)
     # States and reports hand these arrays out, and the model keeps them.
     for arr in (link.V, link.lam, link.E, link.L, link.HtR):

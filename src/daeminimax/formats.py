@@ -147,6 +147,12 @@ def _input_series(doc, name, count, dim):
     return arr
 
 
+def _inputs(doc, model):
+    """The sequences f, g, w of ``doc`` for ``model``, checked in that order."""
+    dims = {"f": model.m, "g": model.p, "w": model.n}
+    return {name: _input_series(doc, name, model.tau + 1, dim) for name, dim in dims.items()}
+
+
 def load_model(doc: dict):
     """Build ``(DescriptorModel, inputs)`` from a parsed model document.
 
@@ -178,12 +184,7 @@ def load_model(doc: dict):
         if seqs[name] and seqs[name][0].shape != shape:
             raise ParseError(f"field {name!r} has {seqs[name][0].shape} matrices, expected {shape}")
     model = DescriptorModel(n=n, m=m, p=p, tau=tau, **seqs)
-    inputs = {
-        "f": _input_series(doc, "f", tau + 1, m),
-        "g": _input_series(doc, "g", tau + 1, p),
-        "w": _input_series(doc, "w", tau + 1, n),
-    }
-    return model, inputs
+    return model, _inputs(doc, model)
 
 
 def _load_json(path):
@@ -206,12 +207,7 @@ def load_inputs_file(path, model: DescriptorModel):
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: inputs document must be a JSON object")
-    count = model.tau + 1
-    return {
-        "f": _input_series(doc, "f", count, model.m),
-        "g": _input_series(doc, "g", count, model.p),
-        "w": _input_series(doc, "w", count, model.n),
-    }
+    return _inputs(doc, model)
 
 
 def write_table(path, header, rows) -> None:
@@ -220,7 +216,7 @@ def write_table(path, header, rows) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(header) + "\n")
-            handle.writelines(line % tuple(row) for row in rows)
+            handle.writelines(line % tuple(row) for row in np.asarray(rows, dtype=float).tolist())
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -22,6 +22,7 @@ __all__ = [
     "as_vector",
     "as_rows",
     "relative_cutoff",
+    "kept_count",
     "pinv",
     "numerical_rank",
     "sym_rank",
@@ -97,9 +98,10 @@ def relative_cutoff(rank_tol: float, shape) -> float:
     return rank_tol if rank_tol > 0 else EPS * max(shape)
 
 
-def _cutoff(s: np.ndarray, shape, rank_tol: float) -> float:
-    # Absolute cutoff below which singular values are treated as zero.
-    return relative_cutoff(rank_tol, shape) * (float(s[0]) if s.size else 0.0)
+def kept_count(s: np.ndarray, cut: float) -> int:
+    """How many of the descending singular values ``s`` lie above
+    ``cut * s[0]`` (0 when ``s`` is empty)."""
+    return int(np.count_nonzero(s > cut * s[0])) if s.size else 0
 
 
 def pinv(a, rank_tol: float = 0.0) -> np.ndarray:
@@ -121,8 +123,7 @@ def pinv(a, rank_tol: float = 0.0) -> np.ndarray:
     """
     m = as_matrix(a)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    cut = _cutoff(s, m.shape, rank_tol)
-    r = int(np.count_nonzero(s > cut))
+    r = kept_count(s, relative_cutoff(rank_tol, m.shape))
     if r == 0:
         return np.zeros((m.shape[1], m.shape[0]))
     return (vt[:r].T / s[:r]) @ u[:, :r].T
@@ -132,7 +133,7 @@ def numerical_rank(a, rank_tol: float = 0.0) -> int:
     """Number of singular values above the shared relative cutoff."""
     m = as_matrix(a)
     s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > _cutoff(s, m.shape, rank_tol)))
+    return kept_count(s, relative_cutoff(rank_tol, m.shape))
 
 
 def sym_rank(a, rank_tol: float = 0.0) -> int:
@@ -155,7 +156,7 @@ def range_projector(a, rank_tol: float = 0.0) -> np.ndarray:
         raise DimensionMismatch(f"range_projector needs a square matrix, got {m.shape}")
     m = 0.5 * (m + m.T)
     u, s, _ = np.linalg.svd(m)
-    r = int(np.count_nonzero(s > _cutoff(s, m.shape, rank_tol)))
+    r = kept_count(s, relative_cutoff(rank_tol, m.shape))
     if r == m.shape[0]:
         return np.eye(m.shape[0])
     proj = u[:, :r] @ u[:, :r].T

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in-process."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import feasible_data, random_model
-from daeminimax import cli, demo, estimator, kalman
+from daeminimax import batch, cli, demo, errors, estimator, kalman
 from daeminimax.formats import load_model_file, measurement_rows, read_table, write_table
 
 
@@ -354,6 +355,35 @@ def test_compare_kalman_agrees(scalar_setup, capsys):
     assert "max_discrepancy" in capsys.readouterr().out
 
 
+def test_compare_kalman_fails_on_a_nan_discrepancy(scalar_setup, capsys, monkeypatch):
+    run_kalman = kalman.run_kalman
+
+    def poisoned(*args, **kwargs):
+        states = run_kalman(*args, **kwargs)
+        states[0] = dataclasses.replace(states[0], x=np.full_like(states[0].x, math.nan))
+        return states
+
+    monkeypatch.setattr(kalman, "run_kalman", poisoned)
+    spec, ys = scalar_setup
+    assert cli.main(["compare", "--spec", spec, "--measurements", ys, "--mode", "kalman"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "max_discrepancy,nan"
+
+
+def test_compare_batch_fails_on_a_nan_discrepancy(scalar_setup, capsys, monkeypatch):
+    solve, calls = batch.solve, []
+
+    def poisoned(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        calls.append(solution)
+        return dataclasses.replace(solution, minI=math.nan) if len(calls) == 1 else solution
+
+    monkeypatch.setattr(batch, "solve", poisoned)
+    spec, ys = scalar_setup
+    assert cli.main(["compare", "--spec", spec, "--measurements", ys, "--mode", "batch"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(calls) == 2 and out[-1] == "max_discrepancy,nan"
+
+
 def test_compare_kalman_regularity_violation_exits_5(tmp_path, capsys):
     spec = write_json(tmp_path / "demo.json", demo.model_document(tau=3))
     traj = tmp_path / "traj.csv"
@@ -515,6 +545,44 @@ def test_reproduce_example_fails_when_bounds_miss_the_truth(tmp_path, capsys, mo
     monkeypatch.setattr(estimator, "answer", halved)
     assert cli.main(["reproduce-example", "--out-dir", str(tmp_path)]) == 1
     assert "outside its bounds" in capsys.readouterr().err
+
+
+def test_reproduce_example_exits_4_on_a_negative_beta(tmp_path, capsys, monkeypatch):
+    answer = estimator.answer
+
+    def sunk(states, ells=()):
+        got = answer(states, ells)
+        beta = got.beta.copy()
+        beta[[5, 9]] = -2e-6, -3e-6
+        return got._replace(beta=beta)
+
+    monkeypatch.setattr(estimator, "answer", sunk)
+    assert cli.main(["reproduce-example", "--out-dir", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == "error: beta = -2.000e-06 below -1e-09\n"
+    assert not (tmp_path / "out").exists()
+
+
+# --- exit codes --------------------------------------------------------
+
+@pytest.mark.parametrize("kind, code", [
+    (errors.ParseError, 2),
+    (errors.InconsistentDynamics, 3),
+    (errors.InconsistentData, 4),
+    (errors.SingularMatrix, 5),
+    (errors.InvalidMatrix, 1),
+    (errors.DimensionMismatch, 1),
+    (errors.NumericalBreakdown, 1),
+    (errors.OutsideObservable, 1),
+])
+def test_every_package_error_maps_to_its_exit_code(scalar_setup, capsys, monkeypatch, kind, code):
+    def raising(args):
+        raise kind("boom")
+
+    monkeypatch.setattr(cli, "cmd_observability", raising)
+    spec, _ = scalar_setup
+    assert cli.main(["observability", "--spec", spec]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: boom\n"
 
 
 # --- unwritable outputs ------------------------------------------------
