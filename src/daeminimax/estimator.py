@@ -78,7 +78,7 @@ from .errors import (
     OutsideObservable,
 )
 from .linalg import EPS, as_rows, as_vector, kept_count, qform, relative_cutoff
-from .model import DescriptorModel
+from .model import DescriptorModel, step_changes
 
 __all__ = [
     "BETA_TOL",
@@ -207,12 +207,10 @@ def _weight_factor(S: np.ndarray) -> np.ndarray:
 class _Products(NamedTuple):
     """The products of step k that depend on the model alone.
 
-    ``mats`` holds the matrix objects (F_k, C_{k-1}, H_k, S_k, R_k) they
-    come from, with C None at k = 0.  With W'W = S_k and Q'Q = R_k:
-    WF = W F_k, G = W C_{k-1} (None at k = 0), QH = Q H_k, HtR = H_k'R_k.
+    With W'W = S_k and Q'Q = R_k: WF = W F_k, G = W C_{k-1} (None at
+    k = 0), QH = Q H_k, HtR = H_k'R_k.
     """
 
-    mats: tuple
     W: np.ndarray
     Q: np.ndarray
     WF: np.ndarray
@@ -222,24 +220,24 @@ class _Products(NamedTuple):
     R: np.ndarray
 
 
-def _products(model: DescriptorModel, k: int, prev: _Products | None = None) -> _Products:
+def _products(model: DescriptorModel, k: int, prev: _Products | None = None,
+              changed=(True,) * 5) -> _Products:
     """Step k's model-only products (see :class:`_Products`).
 
-    Every product whose matrices are the very objects that ``prev`` (step
-    k-1's products) read is taken from it, so a weight repeated from one
-    step to the next is factored once.
+    ``changed`` flags which of F_k, C_{k-1}, H_k, S_k, R_k differ bit for
+    bit from the step before; every product of unchanged matrices is taken
+    from ``prev`` (step k-1's products), so a repeated weight is factored once.
     """
-    mats = (model.F[k], model.C[k - 1] if k else None, model.H[k], model.S[k], model.R[k])
-    F, C, H, S, R = mats
-    same = [a is b for a, b in zip(mats, prev.mats)] if prev else [False] * 5
-    if all(same):
+    new_F, new_C, new_H, new_S, new_R = changed
+    if not any(changed):
         return prev
-    W = prev.W if same[3] else _weight_factor(S)
-    WF = prev.WF if same[3] and same[0] else W @ F
-    G = None if C is None else prev.G if same[3] and same[1] else W @ C
-    Q = prev.Q if same[4] else _weight_factor(R)
-    QH, HtR = (prev.QH, prev.HtR) if same[4] and same[2] else (Q @ H, H.T @ R)
-    return _Products(mats, W, Q, WF, G, QH, HtR, R)
+    F, H, S, R = model.F[k], model.H[k], model.S[k], model.R[k]
+    W = _weight_factor(S) if new_S else prev.W
+    WF = W @ F if new_S or new_F else prev.WF
+    G = None if k == 0 else W @ model.C[k - 1] if new_S or new_C else prev.G
+    Q = _weight_factor(R) if new_R else prev.Q
+    QH, HtR = (Q @ H, H.T @ R) if new_R or new_H else (prev.QH, prev.HtR)
+    return _Products(W, Q, WF, G, QH, HtR, R)
 
 
 def _quiet():
@@ -328,12 +326,12 @@ def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
     """The links of steps 0..tau, which depend on the model alone.
 
     Each step reuses every product of the step before whose matrices are
-    the same objects (the factors of S_k and R_k and the products with
-    them), so a time-invariant model factors each weight once.  While the
-    products stay the same, a link is a function of its input
-    (V_{k-1}, lam_{k-1}) alone, and in floating point that input falls
-    into an exact cycle; so a step whose input recurs bit for bit takes
-    the link that input produced before, and a time-invariant model
+    bit for bit the same (the factors of S_k and R_k and the products with
+    them; see ``model.step_changes``), so a run of equal weights is
+    factored once.  While the products stay the same, a link is a function
+    of its input (V_{k-1}, lam_{k-1}) alone, and in floating point that
+    input falls into an exact cycle; so a step whose input recurs bit for
+    bit takes the link that input produced before, and a time-invariant model
     factorizes each distinct input once.  When the products change the
     table of inputs is dropped and no key is computed, so a time-varying
     model pays nothing for it.  The model keeps its last schedule, so a
@@ -343,12 +341,14 @@ def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
     kept = model._schedule
     if kept is not None and kept[0] == rank_tol:
         return kept[1]
+    changes = [step_changes(getattr(model, name)).tolist() for name in "FCHSR"]
+    changes[1].insert(0, True)  # step k reads C_{k-1}
     links, V, lam, prod, seen = [], None, None, None, {}
     with _quiet():
-        for k in range(model.tau + 1):
+        for k, changed in enumerate(zip(*changes, strict=True)):
             # Only the previous step's products are held: keeping every step's
             # would hold them all alive on a time-varying model.
-            last, prod = prod, _products(model, k, prod)
+            last, prod = prod, _products(model, k, prod, changed)
             if prod is not last:
                 seen = {}
                 link = _link(V, lam, k, rank_tol, prod)

@@ -181,8 +181,8 @@ def load_model(doc: dict):
             seqs[name] = matrix_sequence(doc[name], f"field {name!r}", count)
         except DimensionMismatch as exc:
             raise ParseError(str(exc)) from exc
-        if seqs[name] and seqs[name][0].shape != shape:
-            raise ParseError(f"field {name!r} has {seqs[name][0].shape} matrices, expected {shape}")
+        if len(seqs[name]) and seqs[name].shape[1:] != shape:
+            raise ParseError(f"field {name!r} has {seqs[name].shape[1:]} matrices, expected {shape}")
     model = DescriptorModel(n=n, m=m, p=p, tau=tau, **seqs)
     return model, _inputs(doc, model)
 

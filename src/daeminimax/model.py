@@ -28,6 +28,7 @@ __all__ = [
     "SIM_RESIDUAL_TOL",
     "DescriptorModel",
     "matrix_sequence",
+    "step_changes",
     "Trajectory",
     "ValidationReport",
     "validate",
@@ -41,41 +42,52 @@ __all__ = [
 SIM_RESIDUAL_TOL = 1e-9
 
 
-def _frozen(value) -> np.ndarray:
-    """``value`` itself when it is a float matrix that neither it nor any
-    array it views can write into, else a read-only float copy of it."""
-    if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 2:
-        base = value
-        while isinstance(base, np.ndarray) and not base.flags.writeable:
-            base = base.base
-        if base is None:
-            return value
-    arr = np.atleast_2d(np.array(value, dtype=float))
-    arr.flags.writeable = False
+def matrix_sequence(value, name: str, count: int | None = None) -> np.ndarray:
+    """Read-only (count, rows, cols) float stack of a sequence of matrices
+    or, given ``count``, of one matrix for every step or a 3-D stack of
+    ``count``.
+
+    The input is copied once, unless its data already belong to a
+    read-only float array (it is one, or a view of one): a model's own
+    stacks and their slices stay shared, and the caller's arrays stay
+    writable.  One matrix then becomes an ``np.broadcast_to`` view with
+    stride 0 on the step axis.  In a sequence, a vector or a scalar reads
+    as a one-row matrix.
+    """
+    try:
+        owner = value if getattr(value, "base", None) is None else value.base
+        if isinstance(owner, np.ndarray) and not owner.flags.writeable and value.dtype == float:
+            arr = value
+        else:
+            arr = np.array(value, dtype=float)
+            arr.flags.writeable = False
+        if count is None:
+            count = len(arr)
+            if arr.ndim in (1, 2):
+                arr = arr.reshape(arr.shape[:1] + (1,) * (3 - arr.ndim) + arr.shape[1:])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionMismatch(f"{name}: not a matrix or a sequence of matrices") from exc
+    if arr.ndim <= 2:
+        arr = np.atleast_2d(arr)
+        try:
+            return np.broadcast_to(arr, (count, *arr.shape))
+        except ValueError as exc:
+            raise DimensionMismatch(f"{name}: cannot hold {count} steps") from exc
+    if arr.ndim != 3 or len(arr) != count:
+        raise DimensionMismatch(f"{name}: got shape {arr.shape}, expected a matrix or {count} stacked")
     return arr
 
 
-def matrix_sequence(value, name: str, count: int | None = None) -> tuple:
-    """Per-step tuple of read-only float matrices from a sequence of
-    matrices or, given ``count``, from one matrix for every step or a 3-D
-    stack of ``count``.  Each distinct input object is checked once and
-    copied unless it already is a read-only float matrix over read-only
-    data: steps that shared one share one array, and the caller's arrays
-    stay writable.
-    """
-    try:
-        if count is None:
-            value = tuple(value)  # holds every input, so their ids stay unique
-            frozen = {key: _frozen(mat) for key, mat in dict(zip(map(id, value), value)).items()}
-            return tuple(map(frozen.__getitem__, map(id, value)))
-        arr = _frozen(value)
-    except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"{name}: not a matrix or a sequence of matrices") from exc
-    if arr.ndim == 2:
-        return (arr,) * count
-    if arr.ndim != 3 or arr.shape[0] != count:
-        raise DimensionMismatch(f"{name}: got shape {arr.shape}, expected a matrix or {count} stacked")
-    return tuple(arr)
+def step_changes(seq: np.ndarray) -> np.ndarray:
+    """Per step of a (count, rows, cols) stack, whether its matrix differs
+    bit for bit from the one before; step 0 always differs.  A stack with
+    stride 0 on the step axis holds one matrix and compares nothing."""
+    changes = np.zeros(len(seq), dtype=bool)
+    changes[:1] = True
+    if seq.strides[0]:
+        bits = seq.view(np.uint64)
+        changes[1:] = np.any(bits[1:] != bits[:-1], axis=(1, 2))
+    return changes
 
 
 @dataclass(frozen=True)
@@ -88,22 +100,23 @@ class DescriptorModel:
         State, equation and output dimensions.
     tau : int
         Horizon; matrices F, H, S, R have tau+1 entries, C has tau.
-    F, C, H, S, R : tuple of numpy.ndarray
-        Matrix sequences as described in the module docstring.  However
-        the model is built, they are read-only (see :func:`matrix_sequence`),
-        so the estimator schedule kept on the model (see
-        ``estimator.schedule``) cannot go stale.
+    F, C, H, S, R : numpy.ndarray
+        The matrix sequences of the module docstring, each one read-only
+        (count, rows, cols) stack however the model is built (see
+        :func:`matrix_sequence`), so the estimator schedule kept on the
+        model (see ``estimator.schedule``) cannot go stale.  A constant
+        field has stride 0 on the step axis.
     """
 
     n: int
     m: int
     p: int
     tau: int
-    F: tuple
-    C: tuple
-    H: tuple
-    S: tuple
-    R: tuple
+    F: np.ndarray
+    C: np.ndarray
+    H: np.ndarray
+    S: np.ndarray
+    R: np.ndarray
     # Last estimator schedule, (rank_tol, links); written only by estimator.schedule.
     _schedule: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
@@ -115,25 +128,24 @@ class DescriptorModel:
     def from_sequences(cls, F, C, H, S, R) -> "DescriptorModel":
         """Build a model from matrix sequences, inferring (n, m, p, tau).
 
-        Dimensions come from the leading matrices; later entries are not
-        checked here, so :func:`validate` can report every mismatch.
+        Dimensions come from the stacks of F and H.  A field whose
+        matrices differ in shape does not stack and raises DimensionMismatch.
         """
         F = matrix_sequence(F, "F")
         H = matrix_sequence(H, "H")
-        if not F or not H:
+        if not len(F) or not len(H):
             raise DimensionMismatch("F and H must have at least one entry")
-        m, n = F[0].shape
-        p = H[0].shape[0]
+        _, m, n = F.shape
+        p = H.shape[1]
         return cls(n=n, m=m, p=p, tau=len(F) - 1, F=F, C=C, H=H, S=S, R=R)
 
     @classmethod
     def constant(cls, F, C, H, S, R, tau: int) -> "DescriptorModel":
-        """Build a time-invariant model by replicating one matrix of each kind."""
+        """Build a time-invariant model: each field holds one matrix for every step."""
         if tau < 0:
             raise DimensionMismatch("tau must be nonnegative")
-        return cls.from_sequences(
-            [F] * (tau + 1), [C] * tau, [H] * (tau + 1), [S] * (tau + 1), [R] * (tau + 1)
-        )
+        counts = (tau + 1, tau, tau + 1, tau + 1, tau + 1)
+        return cls.from_sequences(*map(matrix_sequence, (F, C, H, S, R), "FCHSR", counts))
 
 
 @dataclass(frozen=True)
@@ -164,62 +176,62 @@ class ValidationReport:
         return "ok" if self.ok else "; ".join(self.issues)
 
 
-def _matrix_issue(mat, shape):
-    """What is wrong with one model matrix of the given shape, or None."""
-    if mat.shape != shape:
-        return f"dimension mismatch: got {mat.shape}, expected {shape}"
-    if not np.all(np.isfinite(mat)):
-        return "has non-finite entries"
-    return None
-
-
-def _weight_issue(mat, shape):
-    """What is wrong with one weight matrix of the given shape, or None."""
-    issue = _matrix_issue(mat, shape)
-    if issue is not None:
-        return issue
-    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(mat).max()))):
-        return "not symmetric"
-    smallest = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
-    if smallest <= 0.0:
-        return f"not positive definite (min eigenvalue {smallest:.3g})"
-    return None
+def _issues(mats, shape, weight: bool) -> list:
+    """What is wrong with each matrix of a stack from one field, or None:
+    its shape, then non-finite entries, then for a weight asymmetry and
+    definiteness.  Each check is one call over the stack."""
+    if mats.shape[1:] != shape:
+        return [f"dimension mismatch: got {mats.shape[1:]}, expected {shape}"] * len(mats)
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    found = [None if ok else "has non-finite entries" for ok in finite.tolist()]
+    if weight:
+        at = np.flatnonzero(finite)
+        # |S - S'| > 1e-12 max(1, |S|), halved: h - h' and h + h', the
+        # symmetric part, cannot overflow where S - S' and S + S' can.
+        half = 0.5 * mats[at]
+        scale = np.abs(half).max(axis=(1, 2), initial=0.5)
+        skew = np.abs(half - half.mT).max(axis=(1, 2), initial=0.0) > 1e-12 * scale
+        for i in at[skew].tolist():
+            found[i] = "not symmetric"
+        at, half = at[~skew], half[~skew]
+        smallest = np.linalg.eigvalsh(half + half.mT).min(axis=1, initial=np.inf)
+        for i, value in zip(at.tolist(), smallest.tolist()):
+            if value <= 0.0:
+                found[i] = f"not positive definite (min eigenvalue {value:.3g})"
+    return found
 
 
 def validate(model: DescriptorModel) -> ValidationReport:
     """Check shapes, finiteness and weight positivity; never raises.
 
     Every finding is reported, so a single call lists all dimension
-    mismatches and all non-positive-definite weights at once.  A matrix
-    object shared by several steps is checked once and reported under
-    each of its names.
+    mismatches and all non-positive-definite weights at once.  Each field
+    is checked in stacked calls over the steps where its matrix changes
+    (:func:`step_changes`), and a finding is reported under the name of
+    every step that holds that matrix.
     """
     issues = []
     n, m, p, tau = model.n, model.m, model.p, model.tau
     if min(n, m, p) < 1 or tau < 0:
         issues.append(f"bad dimensions n={n} m={m} p={p} tau={tau}")
     fields = (
-        ("F", model.F, tau + 1, (m, n), _matrix_issue),
-        ("C", model.C, tau, (m, n), _matrix_issue),
-        ("H", model.H, tau + 1, (p, n), _matrix_issue),
-        ("S", model.S, tau + 1, (m, m), _weight_issue),
-        ("R", model.R, tau + 1, (p, p), _weight_issue),
+        ("F", model.F, tau + 1, (m, n), False),
+        ("C", model.C, tau, (m, n), False),
+        ("H", model.H, tau + 1, (p, n), False),
+        ("S", model.S, tau + 1, (m, m), True),
+        ("R", model.R, tau + 1, (p, p), True),
     )
     for name, seq, count, _, _ in fields:
         if len(seq) != count:
             issues.append(f"{name} has {len(seq)} entries, expected {count}")
-    found = {}
-    for name, seq, _, shape, check in fields:
-        distinct = {id(mat): mat for mat in seq}
-        for key, mat in distinct.items():
-            if (key, shape, check) not in found:
-                found[key, shape, check] = check(mat, shape)
-        if any(found[key, shape, check] is not None for key in distinct):
+    for name, seq, _, shape, weight in fields:
+        changes = step_changes(seq)
+        per_run = _issues(seq[np.flatnonzero(changes)], shape, weight)
+        if any(per_run):
             # Only a field with an issue walks its per-step names.
-            for k, mat in enumerate(seq):
-                issue = found[id(mat), shape, check]
-                if issue is not None:
-                    issues.append(f"{name}_{k} {issue}")
+            runs = np.cumsum(changes) - 1
+            issues.extend(f"{name}_{k} {per_run[run]}" for k, run in enumerate(runs.tolist())
+                          if per_run[run] is not None)
     return ValidationReport(issues=tuple(issues))
 
 
@@ -315,9 +327,8 @@ def augment_ode(A, output_map, S, R, tau: int | None = None) -> DescriptorModel:
     """
     if tau is None:
         for value, offset in ((output_map, -1), (S, -1), (R, -1), (A, 0)):
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim == 3:
-                tau = arr.shape[0] + offset
+            if np.ndim(value) == 3:
+                tau = len(value) + offset
                 break
         else:
             raise DimensionMismatch("tau is required when all arguments are single matrices")
@@ -325,17 +336,13 @@ def augment_ode(A, output_map, S, R, tau: int | None = None) -> DescriptorModel:
     output_map = matrix_sequence(output_map, "output_map", tau + 1)
     S = matrix_sequence(S, "S", tau + 1)
     R = matrix_sequence(R, "R", tau + 1)
-    n = S[0].shape[0]
-    for Ak in A:
-        if Ak.shape != (n, n):
-            raise DimensionMismatch(f"A must be {n}-by-{n}, got {Ak.shape}")
-    if output_map[0].shape[1] != n:
-        raise DimensionMismatch(
-            f"output_map has {output_map[0].shape[1]} columns, expected {n}"
-        )
+    n = S.shape[1]
+    if A.shape[1:] != (n, n):
+        raise DimensionMismatch(f"A must be {n}-by-{n}, got {A.shape[1:]}")
+    if output_map.shape[2] != n:
+        raise DimensionMismatch(f"output_map has {output_map.shape[2]} columns, expected {n}")
     eye = np.eye(n)
-    zero = np.zeros((n, n))
-    F = [np.hstack([eye, zero])] * (tau + 1)
+    F = matrix_sequence(np.hstack([eye, np.zeros((n, n))]), "F", tau + 1)
     C = [np.hstack([Ak, eye]) for Ak in A]
     H = [np.hstack([Hk, np.zeros((Hk.shape[0], n))]) for Hk in output_map]
     return DescriptorModel.from_sequences(F, C, H, S, R)
@@ -345,14 +352,5 @@ def truncate(model: DescriptorModel, tau: int) -> DescriptorModel:
     """Restriction of the model to the shorter horizon 0..tau."""
     if not 0 <= tau <= model.tau:
         raise DimensionMismatch(f"cannot truncate horizon {model.tau} to {tau}")
-    return DescriptorModel(
-        n=model.n,
-        m=model.m,
-        p=model.p,
-        tau=tau,
-        F=model.F[: tau + 1],
-        C=model.C[:tau],
-        H=model.H[: tau + 1],
-        S=model.S[: tau + 1],
-        R=model.R[: tau + 1],
-    )
+    return DescriptorModel.from_sequences(model.F[: tau + 1], model.C[:tau], model.H[: tau + 1],
+                                          model.S[: tau + 1], model.R[: tau + 1])

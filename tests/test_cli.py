@@ -279,6 +279,20 @@ def test_malformed_json_exits_2_with_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    {"tau": 10**30},
+    {"F": [[10**400, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]},
+    {"S": [[1.0, 1e308], [1e308, 1.0]]},
+], ids=["huge-tau", "huge-entry", "indefinite-huge-weight"])
+def test_malformed_document_exits_2_with_one_error_line(tmp_path, capsys, override):
+    # pytest turns a RuntimeWarning into an error, so an overflow fails here.
+    spec = write_json(tmp_path / "model.json", dict(demo.model_document(5), **override))
+    rc = cli.main(["observability", "--spec", spec])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("override, k", [
     ({"C": [[1e300]], "S": [[1e300]]}, 1),  # G = W C overflows
     ({"F": [[1e200]]}, 0),  # the factor of P_0 is finite, its square is not

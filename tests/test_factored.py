@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import feasible_data, random_model, random_psd_weight, well_conditioned_instance
 from daeminimax import batch, cli, estimator, formats
 from daeminimax.linalg import EPS, pinv, qform, range_projector, sym_rank, symmetrize
-from daeminimax.model import DescriptorModel, truncate, validate
+from daeminimax.model import DescriptorModel, step_changes, truncate, validate
 
 FACTORIZATIONS = ("cholesky", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
                   "pinv", "qr", "solve", "svd")
@@ -292,9 +292,10 @@ def test_model_matrices_are_read_only():
 def test_from_sequences_leaves_the_caller_array_writable():
     F = np.eye(2)
     model = DescriptorModel.constant(F, np.eye(2), np.ones((1, 2)), np.eye(2), np.eye(1), tau=3)
-    assert all(Fk is model.F[0] for Fk in model.F)
+    assert model.F.shape == (4, 2, 2) and model.F.strides[0] == 0
+    assert not model.F.flags.writeable and not np.shares_memory(model.F, F)
     F[0, 0] = 5.0
-    assert model.F[0][0, 0] == 1.0
+    assert F.flags.writeable and model.F[0][0, 0] == 1.0
 
 
 def _constant_model(rng, n, m, p, tau):
@@ -305,15 +306,18 @@ def _constant_model(rng, n, m, p, tau):
 
 @pytest.mark.parametrize("n, m, p", [(3, 3, 1), (4, 1, 2)])
 def test_schedule_reuse_is_bit_identical(n, m, p):
-    # Distinct copies at every step make every product fresh.
+    # Distinct copies at every step are compared by value, and reuse the
+    # products that one stride-0 matrix per field reuses.
     model = _constant_model(np.random.default_rng(47), n, m, p, tau=30)
     fresh = DescriptorModel.from_sequences(
         *([mat.copy() for mat in getattr(model, name)] for name in "FCHSR"))
-    assert fresh.F[1] is not fresh.F[2]
+    assert model.F.strides[0] == 0 and fresh.F.strides[0] != 0
+    assert not np.shares_memory(fresh.F, model.F)
     links = estimator.schedule(model)
     assert len(links) == 31
     for got, want in zip(links, estimator.schedule(fresh)):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    _assert_schedule_is_the_chain(fresh)
 
 
 def _chained_links(model):
@@ -358,7 +362,26 @@ def test_schedule_drops_reuse_when_a_weight_switches():
     other = random_psd_weight(rng, 2)
     S = [base.S[0]] * 40 + [other] * 40 + [base.S[0]] * 41
     model = DescriptorModel.from_sequences(base.F, base.C, base.H, S, base.R)
-    assert model.S[39] is model.S[80] is not model.S[40]
+    assert np.array_equal(model.S[39], model.S[80])
+    assert np.flatnonzero(step_changes(model.S)).tolist() == [0, 40, 80]
+    _assert_schedule_is_the_chain(model)
+
+
+def test_schedule_factors_each_run_of_equal_weights_once(factorizations):
+    # Time-varying F, C, H, and per-step copies of S and R whose values run
+    # a a b b b a and c c c d c c: each run of equal weights is factored once.
+    rng = np.random.default_rng(50)
+    base = random_model(rng, n=3, m=2, p=1, tau=5)
+    S_a, S_b = random_psd_weight(rng, 2), random_psd_weight(rng, 2)
+    R_c, R_d = random_psd_weight(rng, 1), random_psd_weight(rng, 1)
+    S = [mat.copy() for mat in (S_a, S_a, S_b, S_b, S_b, S_a)]
+    R = [mat.copy() for mat in (R_c, R_c, R_c, R_d, R_c, R_c)]
+    model = DescriptorModel.from_sequences(base.F, base.C, base.H, S, R)
+    assert step_changes(model.S).tolist() == [True, False, True, False, False, True]
+    assert step_changes(model.R).tolist() == [True, False, False, True, True, False]
+    factorizations.clear()
+    estimator.schedule(model)
+    assert factorizations["cholesky"] == 3 + 3
     _assert_schedule_is_the_chain(model)
 
 
@@ -387,16 +410,18 @@ def test_directly_built_model_cannot_go_stale():
     assert before == pytest.approx([0.8], abs=1e-12)
     F[0, 0] = 3.0
     assert estimator.estimate(estimator.run(model, ys)[-1]).xhat == before
-    assert model.F[0] is model.F[1] and model.F[0] is not F
-    assert model.C[0] is not one and F.flags.writeable
+    assert np.array_equal(model.F[0], model.F[1]) and not np.shares_memory(model.F, F)
+    assert not np.shares_memory(model.C, one) and F.flags.writeable
+    assert not model.F.flags.writeable
     with pytest.raises(ValueError):
         model.F[0][0, 0] = 2.0
     # A read-only view of a writable array is copied; the model's own arrays are not.
     view = F.view()
     view.flags.writeable = False
-    assert DescriptorModel.constant(view, one, one, one, one, tau=1).F[0] is not view
-    assert DescriptorModel(n=1, m=1, p=1, tau=1, F=model.F, C=model.C, H=model.H,
-                           S=model.S, R=model.R).F[0] is model.F[0]
+    assert not np.shares_memory(DescriptorModel.constant(view, one, one, one, one, tau=1).F, F)
+    again = DescriptorModel(n=1, m=1, p=1, tau=1, F=model.F, C=model.C, H=model.H,
+                            S=model.S, R=model.R)
+    assert all(np.shares_memory(getattr(again, name), getattr(model, name)) for name in "FCHSR")
 
 
 def _transformed(model, F=None, C=None, H=None, S=None):

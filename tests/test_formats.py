@@ -8,6 +8,7 @@ import pytest
 
 from daeminimax import demo, formats
 from daeminimax.errors import ParseError
+from daeminimax.model import validate
 
 
 def scalar_doc(tau=1):
@@ -150,6 +151,18 @@ def test_load_model_rejects_bad_shapes_and_fields():
     doc["tau"] = 1.5
     with pytest.raises(ParseError, match="'tau'"):
         formats.load_model(doc)
+
+
+def test_load_model_holds_a_long_constant_document_in_constant_memory():
+    # 110 bytes with tau = 2,000,000: each field is one matrix with stride 0.
+    doc = scalar_doc(tau=2_000_000)
+    assert len(json.dumps(doc)) == 110
+    model, _ = formats.load_model(doc)
+    assert len(model.F) == 2_000_001 and len(model.C) == 2_000_000
+    for name in "FCHSR":
+        seq = getattr(model, name)
+        assert seq.strides[0] == 0 and not seq.flags.writeable
+    assert validate(model).ok
 
 
 def test_load_model_file_reports_json_line(tmp_path):

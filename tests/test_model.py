@@ -41,15 +41,35 @@ def test_validate_accepts_random_model():
 
 
 def test_validate_reports_shape_mismatch():
+    # Matrices of different shapes within one field do not stack into one array.
     model = scalar_chain(2)
-    bad = DescriptorModel.from_sequences(
-        model.F, model.C,
-        [np.array([[1.0]]), np.array([[1.0, 0.0]]), np.array([[1.0]])],
-        model.S, model.R,
-    )
-    report = validate(bad)
-    assert not report.ok
-    assert any("H_1" in issue for issue in report.issues)
+    with pytest.raises(DimensionMismatch, match="^H: "):
+        DescriptorModel.from_sequences(
+            model.F, model.C,
+            [np.array([[1.0]]), np.array([[1.0, 0.0]]), np.array([[1.0]])],
+            model.S, model.R,
+        )
+
+
+def test_validate_reports_a_whole_field_of_the_wrong_shape():
+    model = scalar_chain(2)
+    bad = DescriptorModel(n=1, m=1, p=1, tau=2, F=model.F, C=model.C, H=np.ones((3, 1, 2)),
+                          S=model.S, R=model.R)
+    assert validate(bad).issues == tuple(
+        f"H_{k} dimension mismatch: got (1, 2), expected (1, 1)" for k in range(3))
+
+
+@pytest.mark.parametrize("S, issue", [
+    ([[1.0, 1e308], [1e308, 1.0]], "not positive definite (min eigenvalue -1e+308)"),
+    ([[1e308, 0.0], [0.0, 1e308]], None),
+    ([[1.0, 1e308], [-1e308, 1.0]], "not symmetric"),
+], ids=["indefinite", "definite", "skew"])
+def test_validate_weights_of_huge_entries_without_overflow(S, issue):
+    # pytest turns a RuntimeWarning into an error, so an overflow fails here.
+    eye = np.eye(2)
+    model = DescriptorModel.constant(eye, eye, np.ones((1, 2)), np.array(S), np.eye(1), tau=1)
+    want = () if issue is None else (f"S_0 {issue}", f"S_1 {issue}")
+    assert validate(model).issues == want
 
 
 def test_validate_reports_indefinite_weight():
