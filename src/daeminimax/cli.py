@@ -93,8 +93,8 @@ def cmd_estimate(args) -> int:
     model, _ = _load_valid_model(args.spec)
     ys = measurement_rows(args.measurements, model)
     directions = [_parse_direction(text, model.n) for text in args.direction or []]
-    states = estimator.run(model, ys, args.rank_tol)
-    got = estimator.answer(states, directions)
+    run = estimator.run(model, ys, args.rank_tol)
+    got = estimator.answer(run, directions)
 
     header = ["k"] + [f"xhat{i}" for i in range(model.n)] + ["beta"]
     for j in range(len(directions)):
@@ -102,10 +102,10 @@ def cmd_estimate(args) -> int:
     # Per direction: value, low, high, observable; NaN bounds where inconsistent.
     value, radius = got.value, got.radius
     bounds = np.stack((value, value - radius, value + radius, radius < math.inf), axis=2)
-    steps = np.arange(len(states))[:, None]
-    table = np.hstack((steps, got.xhat, got.beta[:, None], bounds.reshape(len(states), -1)))
+    steps = np.arange(len(run))[:, None]
+    table = np.hstack((steps, got.xhat, got.beta[:, None], bounds.reshape(len(run), -1)))
     write_table(args.out, header, table)
-    report = estimator.estimate(states[-1])
+    report = estimator.estimate(run[-1])
     summary = {
         "final_rank": report.observable_rank,
         "noncausality_index": report.noncausality_index,
@@ -118,12 +118,13 @@ def cmd_estimate(args) -> int:
 
 def cmd_observability(args) -> int:
     model, _ = _load_valid_model(args.spec)
-    links = estimator.schedule(model, args.rank_tol)
+    links, link_of = estimator.schedule(model, args.rank_tol)
     print("k,rank,noncausality_index")
-    for k, link in enumerate(links):
-        print(f"{k},{link.lam.size},{model.n - link.lam.size}")
-    print(f"observable subspace basis ({links[-1].lam.size} orthonormal columns):")
-    for row in links[-1].V:
+    for k, i in enumerate(link_of.tolist()):
+        print(f"{k},{links[i].lam.size},{model.n - links[i].lam.size}")
+    final = links[link_of[-1]]
+    print(f"observable subspace basis ({final.lam.size} orthonormal columns):")
+    for row in final.V:
         print(",".join(format_number(v) for v in row))
     return EXIT_OK
 
@@ -171,11 +172,11 @@ def cmd_reproduce(args) -> int:
     horizon = 40
     model = demo.build_model(horizon)
     plant, ys = demo.plant_trajectory(horizon)
-    states = estimator.run(model, ys.reshape(-1, 1), args.rank_tol)
+    run = estimator.run(model, ys.reshape(-1, 1), args.rank_tol)
     # Plant directions: the measured coordinate q1 = (1,0) and the
     # unmeasured coordinate q2 = (0,1), lifted to the 4-state model.
-    got = estimator.answer(states, np.eye(model.n)[:2])
-    indices = [model.n - state.lam.size for state in states]
+    got = estimator.answer(run, np.eye(model.n)[:2])
+    indices = [model.n - run.links[i].lam.size for i in run.link_of.tolist()]
     beta, value, err = got.beta[1:], got.value[1:], got.radius[1:]
     low = beta < -estimator.BETA_TOL
     if low.any():

@@ -23,17 +23,17 @@ problem).
 
 P_k, and with it the observable subspace and the noncausality index,
 depends on the model alone; only r_k and alpha_k see the data.  So the
-recursion is split.  :func:`schedule` computes one :class:`Link` per
-step: the kept eigenpairs (V_r, lam_r) of P_k and the transport factors
-of r and alpha, in square-root information form: P_k is never formed,
-only a factor Z_k with P_k = Z_k'Z_k (see :func:`_link`).  On a
-time-invariant model a link depends only on the previous step's
-eigenpairs, which recur exactly, so a recurring input reuses its link
-and each distinct one is factorized once.  The data pass
-maps (r, alpha) through the links and factorizes nothing.  The model
-keeps its last schedule, and its matrices are read-only so that schedule
-cannot go stale.  :func:`init` and :func:`step` compute and apply one
-link each, through the same code.
+recursion is split.  :func:`schedule` computes each distinct :class:`Link`
+once, and ``link_of``, the index of each step's link: the kept eigenpairs
+(V_r, lam_r) of P_k and the transport factors of r and alpha, in
+square-root information form: P_k is never formed, only a factor Z_k
+with P_k = Z_k'Z_k (see :func:`_link`).  On a time-invariant model a link
+depends only on the previous step's eigenpairs, which recur exactly, so
+a recurring input reuses its link.  The data pass maps (r, alpha) through
+the links and factorizes nothing; :func:`run` returns a :class:`Run`,
+its arrays indexed by step.  The model keeps its last schedule, and its
+matrices are read-only so that schedule cannot go stale.  :func:`init`
+and :func:`step` compute and apply one link each, through the same code.
 
 Every rank decision is made on the singular values sigma of a factor,
 and ``rank_tol`` is a relative cutoff on the eigenvalues sigma^2 of the
@@ -41,14 +41,12 @@ matrix it factors (P_k or B_k, n by n), as ``pinv(P, rank_tol)`` applies
 it: sigma^2 > rank_tol * sigma_max^2, with the default (0) at eps * n.
 An exact zero comes out of a factor near eps * sigma_max, far below.
 
-Each state holds (V_r, lam_r) and the run's ``rank_tol``, and its ``P``
-is assembled from them on request.  Every query is answered by one
-kernel on a stack of steps of one rank q (:func:`_centres` and
-:func:`_direction`): xhat = V_r (V_r' r / lam_r), beta = 1 - alpha +
-|V_r' r / sqrt(lam_r)|^2, and along a direction ell, c = V_r' ell,
-rho^2 = c'(c / lam_r) and the interval <ell, xhat> -/+ radius with
-radius = sqrt(max(beta, 0) rho^2).  :func:`answer` hands the kernel
-every step of a run, one stack per rank; :func:`estimate` and
+Every query is answered by one kernel on a stack of steps of one rank q
+(:func:`_centres` and :func:`_direction`): xhat = V_r (V_r' r / lam_r),
+beta = 1 - alpha + |V_r' r / sqrt(lam_r)|^2, and along a direction ell,
+c = V_r' ell, rho^2 = c'(c / lam_r) and the interval <ell, xhat> -/+
+radius with radius = sqrt(max(beta, 0) rho^2).  :func:`answer` hands the
+kernel every step of a run, one stack per rank; :func:`estimate` and
 :func:`radius` hand it one step.  Each product is a ``np.matvec`` or
 ``np.vecdot``, which makes one BLAS call (gemv or dot) per step, the
 call of that step's product alone, so a step's answers do not depend on
@@ -56,8 +54,8 @@ the steps stacked with it and the two routes agree bit for bit.  The
 report of :func:`estimate` keeps the eigenpairs, so :func:`radius`
 answers every direction without solving again.  The cutoff has chosen
 the kept eigenpairs and is not applied twice: whether a direction lies
-in range(P_k) is decided at the roundoff of its projection onto V_r,
-and the radius is infinite exactly outside it.
+in range(P_k) is decided at the roundoff of its projection onto V_r, and
+the radius is infinite exactly outside it.
 
 A negative beta_k (below -BETA_TOL) certifies that no trajectory within
 the unit budget explains the data; it is reported, never clamped.
@@ -84,6 +82,7 @@ __all__ = [
     "BETA_TOL",
     "MEMBERSHIP_SLACK",
     "FilterState",
+    "Run",
     "EstimateReport",
     "Link",
     "Answers",
@@ -133,6 +132,28 @@ class FilterState:
         """The information matrix P_k = V diag(lam) V', symmetrized."""
         P = (self.V * self.lam) @ self.V.T
         return 0.5 * (P + P.T)
+
+
+@dataclass(frozen=True, eq=False)
+class Run:
+    """The steps of :func:`run`: step k has the link ``links[link_of[k]]`` and the
+    data ``r[k]``, ``alpha[k]`` (all read-only); ``run[k]`` builds its FilterState."""
+
+    links: tuple
+    link_of: np.ndarray
+    r: np.ndarray
+    alpha: np.ndarray
+    rank_tol: float
+
+    def __len__(self) -> int:
+        return self.link_of.size
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        if isinstance(k, range):
+            return [self[i] for i in k]
+        link = self.links[self.link_of[k]]
+        return FilterState(k, self.r[k], float(self.alpha[k]), link.V, link.lam, self.rank_tol)
 
 
 @dataclass(frozen=True)
@@ -306,9 +327,8 @@ def _link(V_prev, lam_prev, k: int, rank_tol: float, prod: _Products) -> Link:
     return link
 
 
-def _apply(link: Link, k: int, r: np.ndarray, alpha: float, y: np.ndarray,
-           rank_tol: float) -> FilterState:
-    """The data pass of step k: no factorization.
+def _apply(link: Link, r: np.ndarray, alpha: float, y: np.ndarray) -> tuple:
+    """The data pass of step k, (r_{k-1}, alpha_{k-1}) to (r_k, alpha_k): no factorization.
 
     B_k(q) >= 0 for every q forces r_k into range(P_k); below full rank
     r_k is projected back onto it, so roundoff that leaves the range is
@@ -318,12 +338,12 @@ def _apply(link: Link, k: int, r: np.ndarray, alpha: float, y: np.ndarray,
     r = link.L @ u + link.HtR @ y
     if link.lam.size < r.size:
         r = link.V @ (link.V.T @ r)
-    alpha = alpha + qform(link.R, y) - float(u @ u)
-    return FilterState(k=k, r=r, alpha=alpha, V=link.V, lam=link.lam, rank_tol=rank_tol)
+    return r, alpha + qform(link.R, y) - float(u @ u)
 
 
 def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
-    """The links of steps 0..tau, which depend on the model alone.
+    """``(links, link_of)``: the distinct links of steps 0..tau, which depend
+    on the model alone, and the read-only (tau+1,) index of each step's link.
 
     Each step reuses every product of the step before whose matrices are
     bit for bit the same (the factors of S_k and R_k and the products with
@@ -331,7 +351,7 @@ def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
     factored once.  While the products stay the same, a link is a function
     of its input (V_{k-1}, lam_{k-1}) alone, and in floating point that
     input falls into an exact cycle; so a step whose input recurs bit for
-    bit takes the link that input produced before, and a time-invariant model
+    bit reuses the link that input produced before, and a time-invariant model
     factorizes each distinct input once.  When the products change the
     table of inputs is dropped and no key is computed, so a time-varying
     model pays nothing for it.  The model keeps its last schedule, so a
@@ -340,28 +360,27 @@ def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
     """
     kept = model._schedule
     if kept is not None and kept[0] == rank_tol:
-        return kept[1]
+        return kept[1:]
     changes = [step_changes(getattr(model, name)).tolist() for name in "FCHSR"]
     changes[1].insert(0, True)  # step k reads C_{k-1}
-    links, V, lam, prod, seen = [], None, None, None, {}
+    links, link_of, V, lam, prod, seen = [], [], None, None, None, {}
     with _quiet():
         for k, changed in enumerate(zip(*changes, strict=True)):
             # Only the previous step's products are held: keeping every step's
             # would hold them all alive on a time-varying model.
             last, prod = prod, _products(model, k, prod, changed)
-            if prod is not last:
-                seen = {}
-                link = _link(V, lam, k, rank_tol, prod)
-            else:
-                key = (V.tobytes(), lam.tobytes())
-                link = seen.get(key)
-                if link is None:
-                    link = seen[key] = _link(V, lam, k, rank_tol, prod)
-            links.append(link)
-            V, lam = link.V, link.lam
-    links = tuple(links)
-    object.__setattr__(model, "_schedule", (rank_tol, links))
-    return links
+            key, seen = ((V.tobytes(), lam.tobytes()), seen) if prod is last else (None, {})
+            i = seen.get(key)
+            if i is None:
+                i = seen[key] = len(links)
+                links.append(_link(V, lam, k, rank_tol, prod))
+            link_of.append(i)
+            # The next input is the link taken here, reused or new.
+            V, lam = links[i].V, links[i].lam
+    links, link_of = tuple(links), np.array(link_of, np.intp)
+    link_of.flags.writeable = False
+    object.__setattr__(model, "_schedule", (rank_tol, links, link_of))
+    return links, link_of
 
 
 def init(model: DescriptorModel, y0, rank_tol: float = 0.0) -> FilterState:
@@ -373,7 +392,7 @@ def init(model: DescriptorModel, y0, rank_tol: float = 0.0) -> FilterState:
     y0 = as_rows(y0, 1, model.p, "y_0")[0]
     with _quiet():
         link = _link(None, None, 0, rank_tol, _products(model, 0))
-    return _apply(link, 0, np.zeros(model.n), 0.0, y0, rank_tol)
+    return FilterState(0, *_apply(link, np.zeros(model.n), 0.0, y0), link.V, link.lam, rank_tol)
 
 
 def step(state: FilterState, model: DescriptorModel, y) -> FilterState:
@@ -397,19 +416,20 @@ def step(state: FilterState, model: DescriptorModel, y) -> FilterState:
     y = as_rows(y, 1, model.p, f"y_{k}")[0]
     with _quiet():
         link = _link(state.V, state.lam, k, state.rank_tol, _products(model, k))
-    return _apply(link, k, state.r, state.alpha, y, state.rank_tol)
+    return FilterState(k, *_apply(link, state.r, state.alpha, y), link.V, link.lam, state.rank_tol)
 
 
-def run(model: DescriptorModel, ys, rank_tol: float = 0.0) -> list:
-    """All filter states for the measurement rows ys[0..tau], in order:
-    the model's :func:`schedule` followed by the data pass."""
+def run(model: DescriptorModel, ys, rank_tol: float = 0.0) -> Run:
+    """The :class:`Run` of the measurement rows ys[0..tau]: the model's
+    :func:`schedule` followed by the data pass."""
     ys = as_rows(ys, model.tau + 1, model.p, "measurements")
+    links, link_of = schedule(model, rank_tol)
+    rs, alphas = np.empty((model.tau + 1, model.n)), np.empty(model.tau + 1)
     r, alpha = np.zeros(model.n), 0.0
-    states = []
-    for k, link in enumerate(schedule(model, rank_tol)):
-        states.append(_apply(link, k, r, alpha, ys[k], rank_tol))
-        r, alpha = states[-1].r, states[-1].alpha
-    return states
+    for k, i in enumerate(link_of.tolist()):
+        r, alpha = rs[k], alphas[k] = _apply(links[i], r, alpha, ys[k])
+    rs.flags.writeable = alphas.flags.writeable = False
+    return Run(links=links, link_of=link_of, r=rs, alpha=alphas, rank_tol=rank_tol)
 
 
 def _require_consistent(report: EstimateReport) -> None:
@@ -448,21 +468,21 @@ def _direction(Vt: np.ndarray, lam: np.ndarray, xhat: np.ndarray, beta,
     return np.vecdot(ell, xhat), radius
 
 
-def answer(states, ells=()) -> Answers:
-    """Every state's estimate and beta, and along each of ``ells`` its
-    guaranteed interval: :class:`Answers`, row k for ``states[k]``.
+def answer(run: Run, ells=()) -> Answers:
+    """Every step's estimate and beta, and along each of ``ells`` its
+    guaranteed interval: :class:`Answers`, row k for ``run[k]``.
 
-    The states are stacked by rank, one stack per distinct rank (split
+    The steps are stacked by rank, one stack per distinct rank (split
     so that no stack of bases exceeds _STACK_ELEMENTS), and each stack
     goes through the kernel of :func:`estimate` and :func:`radius`, so
-    row k equals their answers for ``states[k]`` bit for bit, except
+    row k equals their answers for ``run[k]`` bit for bit, except
     that the radius is NaN wherever the data are inconsistent.  Steps
     that share a link copy its basis into the stack from one array.
     Each ell must be a finite float vector of length n, as
     :func:`radius` takes it.
     """
-    n, count = states[0].r.size, len(states)
-    ranks = np.fromiter((state.lam.size for state in states), int, count)
+    count, n = run.r.shape
+    ranks = np.array([link.lam.size for link in run.links], int)[run.link_of]
     xhat, beta = np.empty((count, n)), np.empty(count)
     value, radius = np.empty((count, len(ells))), np.empty((count, len(ells)))
     for q in set(ranks.tolist()):
@@ -470,14 +490,10 @@ def answer(states, ells=()) -> Answers:
         size = max(1, _STACK_ELEMENTS // max(1, q * n))
         for at in range(0, steps.size, size):
             idx = steps[at:at + size]
-            group = [states[k] for k in idx]
-            links = {}
-            slot = [links.setdefault(id(state.V), (len(links), state))[0] for state in group]
-            Vt = np.stack([state.V.T for _, state in links.values()])[slot]
-            lam = np.stack([state.lam for _, state in links.values()])[slot]
-            r = np.stack([state.r for state in group])
-            alpha = np.fromiter((state.alpha for state in group), float, len(group))
-            centre, b = _centres(Vt, lam, r, alpha)
+            used, slot = np.unique(run.link_of[idx], return_inverse=True)
+            Vt = np.stack([run.links[i].V.T for i in used])[slot]
+            lam = np.stack([run.links[i].lam for i in used])[slot]
+            centre, b = _centres(Vt, lam, run.r[idx], run.alpha[idx])
             xhat[idx], beta[idx] = centre, b
             for j, ell in enumerate(ells):
                 value[idx, j], radius[idx, j] = _direction(Vt, lam, centre, b, ell)

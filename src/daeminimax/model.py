@@ -65,7 +65,9 @@ def matrix_sequence(value, name: str, count: int | None = None) -> np.ndarray:
             count = len(arr)
             if arr.ndim in (1, 2):
                 arr = arr.reshape(arr.shape[:1] + (1,) * (3 - arr.ndim) + arr.shape[1:])
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
+        raise DimensionMismatch(f"{name}: an entry is beyond the float range") from exc
+    except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"{name}: not a matrix or a sequence of matrices") from exc
     if arr.ndim <= 2:
         arr = np.atleast_2d(arr)
@@ -207,8 +209,8 @@ def validate(model: DescriptorModel) -> ValidationReport:
     Every finding is reported, so a single call lists all dimension
     mismatches and all non-positive-definite weights at once.  Each field
     is checked in stacked calls over the steps where its matrix changes
-    (:func:`step_changes`), and a finding is reported under the name of
-    every step that holds that matrix.
+    (:func:`step_changes`), and a finding is reported once per run of
+    equal matrices, named by its steps: ``S_3`` alone, ``S_0..9`` a run.
     """
     issues = []
     n, m, p, tau = model.n, model.m, model.p, model.tau
@@ -225,13 +227,14 @@ def validate(model: DescriptorModel) -> ValidationReport:
         if len(seq) != count:
             issues.append(f"{name} has {len(seq)} entries, expected {count}")
     for name, seq, _, shape, weight in fields:
-        changes = step_changes(seq)
-        per_run = _issues(seq[np.flatnonzero(changes)], shape, weight)
+        starts = np.flatnonzero(step_changes(seq))
+        per_run = _issues(seq[starts], shape, weight)
         if any(per_run):
-            # Only a field with an issue walks its per-step names.
-            runs = np.cumsum(changes) - 1
-            issues.extend(f"{name}_{k} {per_run[run]}" for k, run in enumerate(runs.tolist())
-                          if per_run[run] is not None)
+            # Only a field with an issue walks its runs of steps.
+            ends = np.append(starts[1:], len(seq)) - 1
+            issues.extend(f"{name}_{start if start == end else f'{start}..{end}'} {issue}"
+                          for start, end, issue in zip(starts.tolist(), ends.tolist(), per_run)
+                          if issue is not None)
     return ValidationReport(issues=tuple(issues))
 
 

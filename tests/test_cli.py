@@ -279,18 +279,29 @@ def test_malformed_json_exits_2_with_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", [
-    {"tau": 10**30},
-    {"F": [[10**400, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]},
-    {"S": [[1.0, 1e308], [1e308, 1.0]]},
+@pytest.mark.parametrize("override, message", [
+    ({"tau": 10**30}, "field 'F': cannot hold"),
+    ({"F": [[10**400, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]},
+     "field 'F': an entry is beyond the float range"),
+    ({"S": [[1.0, 1e308], [1e308, 1.0]]}, "S_0..5 not positive definite"),
 ], ids=["huge-tau", "huge-entry", "indefinite-huge-weight"])
-def test_malformed_document_exits_2_with_one_error_line(tmp_path, capsys, override):
+def test_malformed_document_exits_2_with_one_error_line(tmp_path, capsys, override, message):
     # pytest turns a RuntimeWarning into an error, so an overflow fails here.
     spec = write_json(tmp_path / "model.json", dict(demo.model_document(5), **override))
     rc = cli.main(["observability", "--spec", spec])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_long_constant_bad_weight_makes_a_short_error_line(tmp_path, capsys):
+    doc = dict(scalar_doc(tau=2_000_000), S=[[-1.0]])
+    rc = cli.main(["observability", "--spec", write_json(tmp_path / "model.json", doc)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.endswith(": invalid model: S_0..2000000 not positive definite "
+                        "(min eigenvalue -1)\n")
 
 
 @pytest.mark.parametrize("override, k", [

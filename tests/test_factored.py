@@ -94,11 +94,10 @@ def test_validate_checks_each_distinct_weight_once(factorizations):
 
 
 def test_validate_reports_a_shared_bad_weight_under_every_name():
+    # One issue names the whole run of steps that holds the bad weight.
     one = np.array([[1.0]])
     model = DescriptorModel.constant(one, one, one, -one, one, tau=3)
-    issues = validate(model).issues
-    assert [issue.split()[0] for issue in issues] == ["S_0", "S_1", "S_2", "S_3"]
-    assert all("positive definite" in issue for issue in issues)
+    assert validate(model).issues == ("S_0..3 not positive definite (min eigenvalue -1)",)
 
 
 def test_stricter_query_cutoff_drops_more_eigenpairs():
@@ -268,15 +267,34 @@ def test_run_arrays_are_read_only():
     one = np.array([[1.0]])
     model = DescriptorModel.constant(one, one, one, one, one, tau=1)
     ys = np.array([1.0, 1.0])
-    state = estimator.run(model, ys)[-1]
+    run = estimator.run(model, ys)
+    state = run[-1]
     report = estimator.estimate(state)
-    for arr in (state.lam, state.V, report.basis, report.lam):
+    for arr in (state.lam, state.V, report.basis, report.lam, run.r, run.alpha, run.link_of):
         with pytest.raises(ValueError):
             arr[0] = 100.0
     fresh = DescriptorModel.constant(one, one, one, one, one, tau=1)
     want = estimator.estimate(estimator.run(fresh, ys)[-1]).xhat
     assert want == pytest.approx([0.8], abs=1e-12)
     assert np.array_equal(estimator.estimate(estimator.run(model, ys)[-1]).xhat, want)
+
+
+def test_run_indexes_like_a_list_of_states():
+    rng = np.random.default_rng(51)
+    model = random_model(rng, n=3, m=2, p=1, tau=6)
+    ys = feasible_data(rng, model)[3]
+    run = estimator.run(model, ys)
+    chain = [estimator.init(model, ys[0])]
+    for k in range(1, model.tau + 1):
+        chain.append(estimator.step(chain[-1], model, ys[k]))
+    assert len(run) == model.tau + 1
+    assert _same_states([run[-1], run[-7]], [chain[-1], chain[0]])
+    assert _same_states(run[1:5:2], chain[1:5:2])
+    assert _same_states(run[::-1], chain[::-1])
+    assert run[7:] == [] and run[-1].k == 6
+    for k in (7, -8):
+        with pytest.raises(IndexError):
+            run[k]
 
 
 def test_model_matrices_are_read_only():
@@ -313,10 +331,11 @@ def test_schedule_reuse_is_bit_identical(n, m, p):
         *([mat.copy() for mat in getattr(model, name)] for name in "FCHSR"))
     assert model.F.strides[0] == 0 and fresh.F.strides[0] != 0
     assert not np.shares_memory(fresh.F, model.F)
-    links = estimator.schedule(model)
-    assert len(links) == 31
-    for got, want in zip(links, estimator.schedule(fresh)):
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    links, link_of = estimator.schedule(model)
+    fresh_links, fresh_link_of = estimator.schedule(fresh)
+    assert link_of.shape == fresh_link_of.shape == (31,)
+    for i, j in zip(link_of, fresh_link_of):
+        assert all(np.array_equal(a, b) for a, b in zip(links[i], fresh_links[j]))
     _assert_schedule_is_the_chain(fresh)
 
 
@@ -331,11 +350,12 @@ def _chained_links(model):
 
 
 def _assert_schedule_is_the_chain(model):
-    links = estimator.schedule(model)
-    assert len(links) == model.tau + 1
-    for got, want in zip(links, _chained_links(model)):
+    """Step k's link, links[link_of[k]], is the chain's link bit for bit."""
+    links, link_of = estimator.schedule(model)
+    assert link_of.shape == (model.tau + 1,)
+    for i, want in zip(link_of, _chained_links(model), strict=True):
         for name in ("V", "lam", "E", "L"):
-            a, b = getattr(got, name), getattr(want, name)
+            a, b = getattr(links[i], name), getattr(want, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     return links
 
@@ -345,7 +365,7 @@ def test_schedule_reuses_the_link_of_a_recurring_input():
     one = np.array([[1.0]])
     tau = 300
     links = _assert_schedule_is_the_chain(DescriptorModel.constant(one, one, one, one, one, tau))
-    assert len({id(link) for link in links}) < tau + 1
+    assert len(links) < tau + 1
 
 
 @pytest.mark.parametrize("n, m, p", [(4, 4, 1), (4, 2, 1)])
@@ -396,9 +416,18 @@ def test_schedule_factors_a_repeated_weight_once(factorizations):
 
 
 def test_validate_reports_a_shared_bad_matrix_under_every_name():
+    # Each run of equal matrices is named once, as its range of steps; a run
+    # of one step keeps its own name.
     one = np.array([[1.0]])
     model = DescriptorModel.constant(np.array([[np.nan]]), one, one, one, one, tau=3)
-    assert validate(model).issues == tuple(f"F_{k} has non-finite entries" for k in range(4))
+    assert validate(model).issues == ("F_0..3 has non-finite entries",)
+    S = [one, -one, -one, one, -2.0 * one, -one]
+    model = DescriptorModel.from_sequences([one] * 6, [one] * 5, [one] * 6, S, [one] * 6)
+    assert validate(model).issues == (
+        "S_1..2 not positive definite (min eigenvalue -1)",
+        "S_4 not positive definite (min eigenvalue -2)",
+        "S_5 not positive definite (min eigenvalue -1)",
+    )
 
 
 def test_directly_built_model_cannot_go_stale():

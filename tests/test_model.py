@@ -55,8 +55,7 @@ def test_validate_reports_a_whole_field_of_the_wrong_shape():
     model = scalar_chain(2)
     bad = DescriptorModel(n=1, m=1, p=1, tau=2, F=model.F, C=model.C, H=np.ones((3, 1, 2)),
                           S=model.S, R=model.R)
-    assert validate(bad).issues == tuple(
-        f"H_{k} dimension mismatch: got (1, 2), expected (1, 1)" for k in range(3))
+    assert validate(bad).issues == ("H_0..2 dimension mismatch: got (1, 2), expected (1, 1)",)
 
 
 @pytest.mark.parametrize("S, issue", [
@@ -68,7 +67,7 @@ def test_validate_weights_of_huge_entries_without_overflow(S, issue):
     # pytest turns a RuntimeWarning into an error, so an overflow fails here.
     eye = np.eye(2)
     model = DescriptorModel.constant(eye, eye, np.ones((1, 2)), np.array(S), np.eye(1), tau=1)
-    want = () if issue is None else (f"S_0 {issue}", f"S_1 {issue}")
+    want = () if issue is None else (f"S_0..1 {issue}",)
     assert validate(model).issues == want
 
 
