@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .linalg import as_rows, as_vector, relative_cutoff
+from .linalg import as_rows, as_vector, factor_cutoff
 from .model import DescriptorModel
 
 __all__ = [
@@ -74,18 +74,13 @@ def assemble(model: DescriptorModel, ys) -> BatchProblem:
     """Stack the model and measurements into one least-squares problem."""
     tau, n, m, p = model.tau, model.n, model.m, model.p
     ys = as_rows(ys, tau + 1, p, "measurements")
-    steps = tau + 1
-    L = np.zeros((steps * m, steps * n))
-    H = np.zeros((steps * p, steps * n))
-    Q1 = np.zeros((steps * m, steps * m))
-    Q2 = np.zeros((steps * p, steps * p))
-    for k in range(steps):
-        L[k * m : (k + 1) * m, k * n : (k + 1) * n] = model.F[k]
-        if k >= 1:
-            L[k * m : (k + 1) * m, (k - 1) * n : k * n] = -model.C[k - 1]
-        H[k * p : (k + 1) * p, k * n : (k + 1) * n] = model.H[k]
-        Q1[k * m : (k + 1) * m, k * m : (k + 1) * m] = model.S[k]
-        Q2[k * p : (k + 1) * p, k * p : (k + 1) * p] = model.R[k]
+    steps, k = tau + 1, np.arange(tau + 1)
+    L, H = np.zeros((steps * m, steps * n)), np.zeros((steps * p, steps * n))
+    Q1, Q2 = np.zeros((steps * m, steps * m)), np.zeros((steps * p, steps * p))
+    # Block (j, k) of each operator is [j, :, k, :] of its 4-D view.
+    for op, blocks in ((L, model.F), (H, model.H), (Q1, model.S), (Q2, model.R)):
+        op.reshape(steps, blocks.shape[1], steps, -1)[k, :, k, :] = blocks
+    L.reshape(steps, m, steps, n)[k[1:], :, k[:-1], :] = -model.C
     return BatchProblem(L=L, H=H, Q1=Q1, Q2=Q2, y=ys.reshape(-1), n=n, m=m, p=p, tau=tau)
 
 
@@ -124,7 +119,7 @@ def _weighted_stack(problem: BatchProblem, rank_tol: float):
     W2 = np.linalg.cholesky(problem.Q2).T
     M = np.vstack([W1 @ problem.L, W2 @ problem.H])
     d = np.concatenate([np.zeros(problem.L.shape[0]), W2 @ problem.y])
-    return M, d, np.sqrt(relative_cutoff(rank_tol, (M.shape[1], M.shape[1])))
+    return M, d, factor_cutoff(rank_tol, M.shape[1])
 
 
 def value_function(problem: BatchProblem, q, rank_tol: float = 0.0) -> float:

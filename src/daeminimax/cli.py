@@ -30,7 +30,7 @@ from .errors import (
 )
 from .formats import format_number, load_inputs_file, load_model_file, measurement_rows, write_table
 from .linalg import EPS, as_vector, pinv, range_projector
-from .model import budget, simulate, truncate, validate
+from .model import budget, simulate, step_changes, step_runs, truncate, validate
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -139,11 +139,10 @@ def cmd_compare(args) -> int:
             kstates = kalman.run_kalman(model, ys, args.rank_tol)
         except SingularMatrix:
             flags = kalman.check_regularity(model, args.rank_tol)
-            bad = [k for k, ok in enumerate(flags) if not ok]
-            if not bad:
+            if all(flags):
                 raise
-            print(f"regularity violated at steps {bad}: rank [F_k; H_k] < n", file=sys.stderr)
-            return EXIT_REGULARITY
+            bad = ", ".join(run for k, run in step_runs(step_changes(flags)) if not flags[k])
+            raise SingularMatrix(f"regularity violated at steps [{bad}]: rank [F_k; H_k] < n")
         xhats = estimator.answer(estimator.run(model, ys, args.rank_tol)).xhat
         print("k,state_discrepancy")
         for k, (xhat, kstate) in enumerate(zip(xhats, kstates)):
@@ -157,8 +156,8 @@ def cmd_compare(args) -> int:
             problem = batch.assemble(truncate(model, k), ys[: k + 1])
             solution = batch.solve(problem, args.rank_tol)
             xlast = solution.xstack[-model.n :]
-            proj = range_projector(state.P, args.rank_tol)
-            xhat = pinv(state.P, args.rank_tol) @ state.r
+            P = state.P
+            proj, xhat = range_projector(P, args.rank_tol), pinv(P, args.rank_tol) @ state.r
             report = estimator.estimate(state)
             disc_x = float(np.linalg.norm(proj @ xlast - xhat))
             disc_b = abs(report.beta - (1.0 - solution.minI))
@@ -176,7 +175,7 @@ def cmd_reproduce(args) -> int:
     # Plant directions: the measured coordinate q1 = (1,0) and the
     # unmeasured coordinate q2 = (0,1), lifted to the 4-state model.
     got = estimator.answer(run, np.eye(model.n)[:2])
-    indices = [model.n - run.links[i].lam.size for i in run.link_of.tolist()]
+    indices = np.array([model.n - link.lam.size for link in run.links])[run.link_of]
     beta, value, err = got.beta[1:], got.value[1:], got.radius[1:]
     low = beta < -estimator.BETA_TOL
     if low.any():
@@ -197,7 +196,8 @@ def cmd_reproduce(args) -> int:
                 ["k", "q1_low", "q1_high", "q2_low", "q2_high"], np.hstack((steps, bounds)))
 
     print(demo.WEIGHT_NOTE)
-    print(f"noncausality index: {_collapse_runs(indices)}")
+    runs = step_runs(step_changes(indices))
+    print("noncausality index: " + "; ".join(f"k={run} -> {indices[k]}" for k, run in runs))
     print("direction q2 = (0,1) is unobservable at every step k >= 1; "
           "its bounds carry the inf marker")
     print(f"max coverage ratio of the true q1 by its bounds: {format_number(worst_coverage)}")
@@ -217,18 +217,6 @@ def _coverage(truth, value, err, beta) -> np.ndarray:
     allowed = np.where(beta > 0.0, err * widen, 0.0)
     allowed += 8.0 * EPS * np.maximum(1.0, np.maximum(abs(value), abs(truth)))
     return abs(truth - value) / allowed
-
-
-def _collapse_runs(values) -> str:
-    """Render a sequence like [2,3,3,3] as 'k=0 -> 2; k=1..3 -> 3'."""
-    parts = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] != values[start]:
-            span = f"k={start}" if i - start == 1 else f"k={start}..{i - 1}"
-            parts.append(f"{span} -> {values[start]}")
-            start = i
-    return "; ".join(parts)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -75,7 +75,7 @@ from .errors import (
     NumericalBreakdown,
     OutsideObservable,
 )
-from .linalg import EPS, as_rows, as_vector, kept_count, qform, relative_cutoff
+from .linalg import EPS, as_rows, as_vector, factor_cutoff, kept_count, qform
 from .model import DescriptorModel, step_changes
 
 __all__ = [
@@ -305,7 +305,7 @@ def _link(V_prev, lam_prev, k: int, rank_tol: float, prod: _Products) -> Link:
     above the run's relative cutoff.
     """
     n = prod.WF.shape[1]
-    cut = sqrt(relative_cutoff(rank_tol, (n, n)))
+    cut = factor_cutoff(rank_tol, n)
     if k == 0:
         E = L = np.zeros((n, 0))
         transported = prod.WF

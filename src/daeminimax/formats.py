@@ -136,7 +136,7 @@ def _input_series(doc, name, count, dim):
     else:
         try:
             arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ParseError(f"field {name!r} is not numeric: {exc}") from exc
         if dim == 1 and arr.ndim == 1:
             arr = arr.reshape(-1, 1)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
 from .linalg import as_rows, numerical_rank, symmetrize
-from .model import DescriptorModel
+from .model import DescriptorModel, step_changes
 
 __all__ = ["KalmanState", "check_regularity", "kalman_init", "kalman_step", "run_kalman"]
 
@@ -30,18 +30,20 @@ class KalmanState:
     x: np.ndarray
 
 
+def _rank(model: DescriptorModel, k: int, rank_tol: float) -> int:
+    return numerical_rank(np.vstack([model.F[k], model.H[k]]), rank_tol)
+
+
 def check_regularity(model: DescriptorModel, rank_tol: float = 0.0) -> list:
-    """Per-step regularity flags: rank [F_k; H_k] == n for k = 0..tau."""
-    return [
-        numerical_rank(np.vstack([model.F[k], model.H[k]]), rank_tol) == model.n
-        for k in range(model.tau + 1)
-    ]
+    """Per-step regularity flags: rank [F_k; H_k] == n for k = 0..tau,
+    decided once per run of equal (F_k, H_k)."""
+    starts = np.flatnonzero(step_changes(model.F) | step_changes(model.H))
+    regular = [_rank(model, k, rank_tol) == model.n for k in starts.tolist()]
+    return np.repeat(regular, np.diff(starts, append=model.tau + 1)).tolist()
 
 
 def _require_regular(model: DescriptorModel, k: int, rank_tol: float) -> None:
-    stacked = np.vstack([model.F[k], model.H[k]])
-    rank = numerical_rank(stacked, rank_tol)
-    if rank < model.n:
+    if (rank := _rank(model, k, rank_tol)) < model.n:
         raise SingularMatrix(
             f"step {k}: rank [F_k; H_k] = {rank} < n = {model.n}, model not regular"
         )

@@ -10,6 +10,7 @@ selects the conventional default ``eps * max(rows, cols)``.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "as_vector",
     "as_rows",
     "relative_cutoff",
+    "factor_cutoff",
     "kept_count",
     "pinv",
     "numerical_rank",
@@ -96,6 +98,12 @@ def relative_cutoff(rank_tol: float, shape) -> float:
     if not 0.0 <= rank_tol < np.inf:
         raise InvalidMatrix(f"rank_tol must be finite and nonnegative, got {rank_tol}")
     return rank_tol if rank_tol > 0 else EPS * max(shape)
+
+
+def factor_cutoff(rank_tol: float, n: int) -> float:
+    """The relative cutoff on the singular values of a factor: the root of
+    :func:`relative_cutoff` for the factor's n-by-n Gram matrix."""
+    return math.sqrt(relative_cutoff(rank_tol, (n, n)))
 
 
 def kept_count(s: np.ndarray, cut: float) -> int:

@@ -29,6 +29,7 @@ __all__ = [
     "DescriptorModel",
     "matrix_sequence",
     "step_changes",
+    "step_runs",
     "Trajectory",
     "ValidationReport",
     "validate",
@@ -80,16 +81,25 @@ def matrix_sequence(value, name: str, count: int | None = None) -> np.ndarray:
     return arr
 
 
-def step_changes(seq: np.ndarray) -> np.ndarray:
-    """Per step of a (count, rows, cols) stack, whether its matrix differs
-    bit for bit from the one before; step 0 always differs.  A stack with
-    stride 0 on the step axis holds one matrix and compares nothing."""
+def step_changes(seq) -> np.ndarray:
+    """Per step of a per-step array (values, vectors or matrices), whether
+    its entry differs bit for bit from the one before; step 0 always does.
+    An array with stride 0 on the step axis compares nothing."""
+    seq = np.asarray(seq)
     changes = np.zeros(len(seq), dtype=bool)
     changes[:1] = True
     if seq.strides[0]:
-        bits = seq.view(np.uint64)
-        changes[1:] = np.any(bits[1:] != bits[:-1], axis=(1, 2))
+        bits = seq.view(f"u{seq.itemsize}")
+        changes[1:] = np.any(bits[1:] != bits[:-1], axis=tuple(range(1, seq.ndim)))
     return changes
+
+
+def step_runs(changes) -> list:
+    """``(start, name)`` of each run of steps in a mask from
+    :func:`step_changes`, named ``a`` for one step and ``a..b`` for more."""
+    starts = np.flatnonzero(changes).tolist()
+    ends = [end - 1 for end in starts[1:]] + [len(changes) - 1]
+    return [(a, str(a) if a == b else f"{a}..{b}") for a, b in zip(starts, ends)]
 
 
 @dataclass(frozen=True)
@@ -210,7 +220,7 @@ def validate(model: DescriptorModel) -> ValidationReport:
     mismatches and all non-positive-definite weights at once.  Each field
     is checked in stacked calls over the steps where its matrix changes
     (:func:`step_changes`), and a finding is reported once per run of
-    equal matrices, named by its steps: ``S_3`` alone, ``S_0..9`` a run.
+    equal matrices, named by :func:`step_runs`: ``S_3`` alone, ``S_0..9`` a run.
     """
     issues = []
     n, m, p, tau = model.n, model.m, model.p, model.tau
@@ -223,18 +233,15 @@ def validate(model: DescriptorModel) -> ValidationReport:
         ("S", model.S, tau + 1, (m, m), True),
         ("R", model.R, tau + 1, (p, p), True),
     )
-    for name, seq, count, _, _ in fields:
-        if len(seq) != count:
-            issues.append(f"{name} has {len(seq)} entries, expected {count}")
+    issues.extend(f"{name} has {len(seq)} entries, expected {count}"
+                  for name, seq, count, _, _ in fields if len(seq) != count)
     for name, seq, _, shape, weight in fields:
-        starts = np.flatnonzero(step_changes(seq))
-        per_run = _issues(seq[starts], shape, weight)
+        changes = step_changes(seq)
+        per_run = _issues(seq[changes], shape, weight)
         if any(per_run):
             # Only a field with an issue walks its runs of steps.
-            ends = np.append(starts[1:], len(seq)) - 1
-            issues.extend(f"{name}_{start if start == end else f'{start}..{end}'} {issue}"
-                          for start, end, issue in zip(starts.tolist(), ends.tolist(), per_run)
-                          if issue is not None)
+            issues.extend(f"{name}_{run} {issue}"
+                          for (_, run), issue in zip(step_runs(changes), per_run) if issue)
     return ValidationReport(issues=tuple(issues))
 
 
@@ -253,8 +260,9 @@ def simulate(model: DescriptorModel, f, g, w=None, rank_tol: float = 0.0) -> Tra
         x_{k+1} = pinv(F) (C x_k + f_{k+1}) + (I - pinv(F) F) w_{k+1}
 
     so the free component ``w`` chooses among the (possibly many) exact
-    solutions.  When F is square and invertible the step does not depend
-    on ``w`` at all.  Outputs are noiseless in the model sense:
+    solutions; ``pinv(F)`` and ``I - pinv(F) F`` are formed once per run of
+    equal ``F[k]``.  When F is square and invertible the step does not
+    depend on ``w`` at all.  Outputs are noiseless in the model sense:
     ``y_k = H[k] x_k + g_k`` exactly.
 
     Parameters
@@ -282,19 +290,17 @@ def simulate(model: DescriptorModel, f, g, w=None, rank_tol: float = 0.0) -> Tra
     w = _input_rows(w, tau + 1, n, "w")
 
     states = np.zeros((tau + 1, n))
-    eye = np.eye(n)
-    for k in range(tau + 1):
-        Fk = model.F[k]
+    for k, (Fk, new) in enumerate(zip(model.F, step_changes(model.F))):
+        if new:
+            Fp = pinv(Fk, rank_tol)
+            null = np.eye(n) - Fp @ Fk
         rhs = f[0] if k == 0 else model.C[k - 1] @ states[k - 1] + f[k]
-        Fp = pinv(Fk, rank_tol)
-        x = Fp @ rhs + (eye - Fp @ Fk) @ w[k]
+        x = Fp @ rhs + null @ w[k]
         residual = float(np.linalg.norm(Fk @ x - rhs))
         if residual > SIM_RESIDUAL_TOL:
-            raise InconsistentDynamics(
-                f"step {k}: no exact solution, residual {residual:.3e}"
-            )
+            raise InconsistentDynamics(f"step {k}: no exact solution, residual {residual:.3e}")
         states[k] = x
-    outputs = np.vstack([model.H[k] @ states[k] + g[k] for k in range(tau + 1)])
+    outputs = np.matvec(model.H, states) + g
     return Trajectory(states=states, inputs=f.copy(), noises=g.copy(), outputs=outputs)
 
 

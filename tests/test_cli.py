@@ -436,7 +436,30 @@ def test_compare_kalman_rejects_an_irregular_model_before_the_recursion(
     monkeypatch.setattr(estimator, "run", no_recursion)
     assert cli.main(argv) == 5
     assert capsys.readouterr().err == expected
-    assert expected.startswith("regularity violated at steps [")
+    assert expected.startswith("error: regularity violated at steps [")
+
+
+IRREGULAR_AT_0_2_5 = {"n": 1, "m": 1, "p": 1, "tau": 6, "F": [[0.0]], "C": [[1.0]],
+                      "H": [[[0.0 if k in (0, 2, 5) else 1.0]] for k in range(7)],
+                      "S": [[1.0]], "R": [[1.0]]}
+
+
+@pytest.mark.parametrize("doc, steps", [(demo.model_document(300), "0..300"),
+                                        (IRREGULAR_AT_0_2_5, "0, 2, 5")])
+def test_compare_kalman_names_runs_of_irregular_steps(tmp_path, capsys, doc, steps):
+    spec = write_json(tmp_path / "model.json", doc)
+    ys = tmp_path / "ys.csv"
+    write_table(ys, ["k", "y0"], [[k, 0.5] for k in range(doc["tau"] + 1)])
+    rc = cli.main(["compare", "--spec", spec, "--measurements", str(ys), "--mode", "kalman"])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: regularity violated at steps [{steps}]: rank [F_k; H_k] < n\n"
+
+
+def test_reproduce_example_names_runs_of_the_noncausality_index(tmp_path, capsys):
+    assert cli.main(["reproduce-example", "--out-dir", str(tmp_path)]) == 0
+    assert "\nnoncausality index: k=0 -> 2; k=1..40 -> 3\n" in capsys.readouterr().out
 
 
 def test_compare_kalman_decides_each_step_regularity_once(tmp_path, capsys, monkeypatch):

@@ -259,3 +259,10 @@ def test_load_model_rejects_non_finite_inputs(g):
     doc["g"] = g
     with pytest.raises(ParseError, match="'g' has non-finite entries"):
         formats.load_model(doc)
+
+
+def test_load_model_rejects_an_input_beyond_the_float_range():
+    doc = scalar_doc(tau=1)
+    doc["g"] = [1.0, 10**400]
+    with pytest.raises(ParseError, match="field 'g' is not numeric"):
+        formats.load_model(doc)

@@ -28,6 +28,29 @@ def test_check_regularity_flags_rank_deficiency():
     assert kalman.check_regularity(model) == [False] * 3
 
 
+def test_check_regularity_decides_each_run_of_equal_steps_once(monkeypatch):
+    F = np.array([[1.0, 0.0]])
+    one = np.array([[1.0]])
+    model = DescriptorModel.constant(F, np.zeros((1, 2)), F, one, one, 2000)
+    numerical_rank, calls = kalman.numerical_rank, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return numerical_rank(*args, **kwargs)
+
+    monkeypatch.setattr(kalman, "numerical_rank", counted)
+    assert kalman.check_regularity(model) == [False] * 2001
+    assert len(calls) == 1
+
+
+def test_check_regularity_follows_runs_of_f_and_h():
+    # H_k = 0 at steps 0, 2, 5 makes [F_k; H_k] = [0; 0] rank deficient there.
+    H = [[[0.0 if k in (0, 2, 5) else 1.0]] for k in range(7)]
+    model = DescriptorModel.from_sequences([[[0.0]]] * 7, [[[1.0]]] * 6, H,
+                                           [[[1.0]]] * 7, [[[1.0]]] * 7)
+    assert kalman.check_regularity(model) == [k not in (0, 2, 5) for k in range(7)]
+
+
 def test_kalman_init_worked_values():
     state = kalman.kalman_init(scalar_chain(1), np.array([1.0]))
     assert state.k == 0

@@ -11,6 +11,7 @@ from daeminimax.linalg import (
     AsymmetryWarning,
     as_matrix,
     as_vector,
+    factor_cutoff,
     numerical_rank,
     pinv,
     qform,
@@ -143,6 +144,13 @@ def test_as_vector_rejects_bad_input():
 def test_relative_cutoff_rejects_bad_rank_tol(rank_tol):
     with pytest.raises(InvalidMatrix):
         relative_cutoff(rank_tol, (2, 2))
+
+
+@pytest.mark.parametrize("rank_tol, n, expected", [(0.0, 4, 4 * EPS), (1e-10, 7, 1e-10)])
+def test_factor_cutoff_is_the_root_of_the_gram_cutoff(rank_tol, n, expected):
+    assert factor_cutoff(rank_tol, n) == np.sqrt(expected)
+    with pytest.raises(InvalidMatrix):
+        factor_cutoff(-1.0, n)
 
 
 def test_symmetrize_quiet_below_tolerance():

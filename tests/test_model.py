@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import feasible_data, random_model
+from daeminimax import demo, model as model_module
 from daeminimax.errors import DimensionMismatch, EstimationError, InconsistentDynamics
+from daeminimax.linalg import pinv
 from daeminimax.model import (
     DescriptorModel,
     augment_ode,
     budget,
     simulate,
+    step_changes,
+    step_runs,
     truncate,
     validate,
 )
@@ -137,6 +141,60 @@ def test_simulate_free_component_fills_nullspace():
     w = np.array([[0.0, 7.0], [0.0, -4.0]])
     traj = simulate(model, f, g, w=w)
     assert np.allclose(traj.states, [[2.0, 7.0], [3.0, -4.0]], atol=1e-12)
+
+
+@pytest.fixture
+def pinv_calls(monkeypatch):
+    """The arguments of every pinv call that simulate makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "pinv", counted)
+    return calls
+
+
+def test_simulate_takes_one_pinv_per_run_of_equal_f(pinv_calls):
+    tau = 2000
+    model = demo.build_model(tau)
+    f, g, w = demo.augmented_inputs(tau)
+    # The chain with its own pinv at every step, as the docstring states it.
+    states = np.zeros((tau + 1, model.n))
+    for k in range(tau + 1):
+        rhs = f[0] if k == 0 else model.C[k - 1] @ states[k - 1] + f[k]
+        Fp = pinv(model.F[k])
+        states[k] = Fp @ rhs + (np.eye(model.n) - Fp @ model.F[k]) @ w[k]
+    outputs = np.vstack([model.H[k] @ states[k] + g[k] for k in range(tau + 1)])
+    traj = simulate(model, f, g, w)
+    assert len(pinv_calls) == 1
+    assert np.array_equal(traj.states, states) and np.array_equal(traj.outputs, outputs)
+
+
+def test_simulate_takes_a_pinv_where_f_changes(pinv_calls):
+    F = [np.eye(2)] * 3 + [np.diag([2.0, 1.0])] * 2 + [np.eye(2)]
+    model = DescriptorModel.from_sequences(F, [np.eye(2)] * 5, [np.ones((1, 2))] * 6,
+                                           [np.eye(2)] * 6, [np.eye(1)] * 6)
+    traj = simulate(model, np.ones((6, 2)), np.zeros((6, 1)))
+    assert [Fk.tolist() for Fk, _ in pinv_calls] == [F[0].tolist(), F[3].tolist(), F[5].tolist()]
+    assert np.allclose(traj.states[3], [2.0, 4.0]) and np.allclose(traj.states[5], [2.5, 6.0])
+
+
+def test_step_changes_reads_values_vectors_and_stacks():
+    assert step_changes([2, 3, 3, 3, 2]).tolist() == [True, True, False, False, True]
+    assert step_changes([False, False, True]).tolist() == [True, False, True]
+    assert step_changes(np.array([0.0, -0.0, -0.0])).tolist() == [True, True, False]
+    assert step_changes(np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 3.0]])).tolist() == [True, False, True]
+    assert step_changes(np.broadcast_to(np.eye(2), (4, 2, 2))).tolist() == [True] + [False] * 3
+    assert step_changes(np.zeros((0, 2, 2))).tolist() == []
+
+
+def test_step_runs_names_single_steps_and_ranges():
+    assert step_runs(step_changes([2, 3, 3, 3, 4, 4])) == [(0, "0"), (1, "1..3"), (4, "4..5")]
+    assert step_runs(step_changes(np.ones(2001))) == [(0, "0..2000")]
+    assert step_runs([True, True]) == [(0, "0"), (1, "1")]
+    assert step_runs([]) == []
 
 
 def test_simulate_rejects_inconsistent_dynamics():
