@@ -12,6 +12,12 @@ output maps and Q1, Q2 are the block-diagonal budget weights.  This is
 mathematically the same problem the recursive estimator solves step by
 step, computed by an independent route, which makes it the reference
 implementation the recursion is tested against.
+
+:func:`assemble` factors each distinct weight once, in one stacked call
+per weight field, and the least-squares stack is built from blocks, so
+nothing dense is factored or multiplied by a weight.  The problem of a
+shorter horizon is the leading blocks of a longer one (:func:`leading`),
+so one assembly serves every horizon of a model.
 """
 
 from __future__ import annotations
@@ -20,14 +26,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalBreakdown
-from .linalg import as_rows, as_vector, factor_cutoff
-from .model import DescriptorModel
+from .errors import DimensionMismatch, NumericalBreakdown
+from .linalg import as_rows, as_vector, factor_cutoff, weight_factors
+from .model import DescriptorModel, step_changes
 
 __all__ = [
     "BatchProblem",
     "BatchSolution",
     "assemble",
+    "leading",
     "objective",
     "homogeneous_objective",
     "solve",
@@ -42,6 +49,8 @@ class BatchProblem:
 
     L is ((tau+1) m, (tau+1) n), H is ((tau+1) p, (tau+1) n), Q1 and Q2
     are the block-diagonal weights, y the stacked measurement vector.
+    W1 (tau+1, m, m) and W2 (tau+1, p, p) stack the square roots of the
+    weight blocks: W1[k]'W1[k] = S_k and W2[k]'W2[k] = R_k.
     """
 
     L: np.ndarray
@@ -49,6 +58,8 @@ class BatchProblem:
     Q1: np.ndarray
     Q2: np.ndarray
     y: np.ndarray
+    W1: np.ndarray
+    W2: np.ndarray
     n: int
     m: int
     p: int
@@ -70,6 +81,13 @@ class BatchSolution:
         return self.stack.T @ self.stack
 
 
+def _factors(weights: np.ndarray) -> np.ndarray:
+    """``linalg.weight_factors`` of every step's weight, each run of equal
+    weights factored once."""
+    changes = step_changes(weights)
+    return weight_factors(weights[changes])[np.cumsum(changes) - 1]
+
+
 def assemble(model: DescriptorModel, ys) -> BatchProblem:
     """Stack the model and measurements into one least-squares problem."""
     tau, n, m, p = model.tau, model.n, model.m, model.p
@@ -81,7 +99,20 @@ def assemble(model: DescriptorModel, ys) -> BatchProblem:
     for op, blocks in ((L, model.F), (H, model.H), (Q1, model.S), (Q2, model.R)):
         op.reshape(steps, blocks.shape[1], steps, -1)[k, :, k, :] = blocks
     L.reshape(steps, m, steps, n)[k[1:], :, k[:-1], :] = -model.C
-    return BatchProblem(L=L, H=H, Q1=Q1, Q2=Q2, y=ys.reshape(-1), n=n, m=m, p=p, tau=tau)
+    return BatchProblem(L=L, H=H, Q1=Q1, Q2=Q2, y=ys.reshape(-1), W1=_factors(model.S),
+                        W2=_factors(model.R), n=n, m=m, p=p, tau=tau)
+
+
+def leading(problem: BatchProblem, tau: int) -> BatchProblem:
+    """The problem of horizon ``tau``: views of the leading blocks of
+    ``problem``, equal to the assembly of the truncated model and data."""
+    if not 0 <= tau <= problem.tau:
+        raise DimensionMismatch(f"cannot truncate horizon {problem.tau} to {tau}")
+    s, n, m, p = tau + 1, problem.n, problem.m, problem.p
+    return BatchProblem(L=problem.L[:s * m, :s * n], H=problem.H[:s * p, :s * n],
+                        Q1=problem.Q1[:s * m, :s * m], Q2=problem.Q2[:s * p, :s * p],
+                        y=problem.y[:s * p], W1=problem.W1[:s], W2=problem.W2[:s],
+                        n=n, m=m, p=p, tau=tau)
 
 
 def objective(problem: BatchProblem, x) -> float:
@@ -112,13 +143,23 @@ def solve(problem: BatchProblem, rank_tol: float = 0.0) -> BatchSolution:
 
 
 def _weighted_stack(problem: BatchProblem, rank_tol: float):
-    # Cholesky square roots turn I(x) into a plain residual norm,
-    # I(x) = ||M x - d||^2 with M = [W1 L; W2 H], d = [0; W2 y].  rcond keeps
-    # sigma^2 > cutoff * sigma_max^2 (the schedule's rule), as pinv(M'M) would.
-    W1 = np.linalg.cholesky(problem.Q1).T
-    W2 = np.linalg.cholesky(problem.Q2).T
-    M = np.vstack([W1 @ problem.L, W2 @ problem.H])
-    d = np.concatenate([np.zeros(problem.L.shape[0]), W2 @ problem.y])
+    # The weights' square roots turn I(x) into a plain residual norm,
+    # I(x) = ||M x - d||^2 with M = [W1 L; W2 H], d = [0; W2 y] and W1, W2
+    # block diagonal.  M is written block by block through 4-D views, as
+    # assemble writes L and H: W1_k F_k on the diagonal, -W1_k C_{k-1} below
+    # it, W2_k H_k.  rcond keeps sigma^2 > cutoff * sigma_max^2 (the
+    # schedule's rule), as pinv(M'M) would.
+    steps, n, m, p = problem.tau + 1, problem.n, problem.m, problem.p
+    k = np.arange(steps)
+    L = problem.L.reshape(steps, m, steps, n)
+    M = np.zeros((steps * (m + p), steps * n))
+    top = M[:steps * m].reshape(steps, m, steps, n)
+    top[k, :, k, :] = problem.W1 @ L[k, :, k, :]
+    top[k[1:], :, k[:-1], :] = problem.W1[1:] @ L[k[1:], :, k[:-1], :]
+    M[steps * m:].reshape(steps, p, steps, n)[k, :, k, :] = (
+        problem.W2 @ problem.H.reshape(steps, p, steps, n)[k, :, k, :])
+    Wy = np.matvec(problem.W2, problem.y.reshape(steps, p))
+    d = np.concatenate([np.zeros(steps * m), Wy.ravel()])
     return M, d, factor_cutoff(rank_tol, M.shape[1])
 
 

@@ -30,7 +30,8 @@ from .errors import (
 )
 from .formats import format_number, load_inputs_file, load_model_file, measurement_rows, write_table
 from .linalg import EPS, as_vector, pinv, range_projector
-from .model import budget, simulate, step_changes, step_runs, truncate, validate
+from .model import budget, simulate, step_changes, step_runs, validate
+from .model import truncate  # noqa: F401  (bench/tracing.py wraps cli.truncate by name)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -134,15 +135,9 @@ def cmd_compare(args) -> int:
     ys = measurement_rows(args.measurements, model)
     worst = 0.0
     if args.mode == "kalman":
-        # An irregular model exits 5 here, before it pays for the recursion.
-        try:
-            kstates = kalman.run_kalman(model, ys, args.rank_tol)
-        except SingularMatrix:
-            flags = kalman.check_regularity(model, args.rank_tol)
-            if all(flags):
-                raise
-            bad = ", ".join(run for k, run in step_runs(step_changes(flags)) if not flags[k])
-            raise SingularMatrix(f"regularity violated at steps [{bad}]: rank [F_k; H_k] < n")
+        # run_kalman decides regularity first, so an irregular model exits 5
+        # before it pays for either recursion.
+        kstates = kalman.run_kalman(model, ys, args.rank_tol)
         xhats = estimator.answer(estimator.run(model, ys, args.rank_tol)).xhat
         print("k,state_discrepancy")
         for k, (xhat, kstate) in enumerate(zip(xhats, kstates)):
@@ -151,10 +146,10 @@ def cmd_compare(args) -> int:
             print(f"{k},{format_number(disc)}")
     else:
         states = estimator.run(model, ys, args.rank_tol)
+        whole = batch.assemble(model, ys)
         print("k,state_discrepancy,beta_discrepancy")
         for k, state in enumerate(states):
-            problem = batch.assemble(truncate(model, k), ys[: k + 1])
-            solution = batch.solve(problem, args.rank_tol)
+            solution = batch.solve(batch.leading(whole, k), args.rank_tol)
             xlast = solution.xstack[-model.n :]
             P = state.P
             proj, xhat = range_projector(P, args.rank_tol), pinv(P, args.rank_tol) @ state.r

@@ -27,11 +27,13 @@ recursion is split.  :func:`schedule` computes each distinct :class:`Link`
 once, and ``link_of``, the index of each step's link: the kept eigenpairs
 (V_r, lam_r) of P_k and the transport factors of r and alpha, in
 square-root information form: P_k is never formed, only a factor Z_k
-with P_k = Z_k'Z_k (see :func:`_link`).  On a time-invariant model a link
-depends only on the previous step's eigenpairs, which recur exactly, so
-a recurring input reuses its link.  The data pass maps (r, alpha) through
-the links and factorizes nothing; :func:`run` returns a :class:`Run`,
-its arrays indexed by step.  The model keeps its last schedule, and its
+with P_k = Z_k'Z_k (see :func:`_link`).  The products of the weight
+factors with the model's matrices are computed in stacked calls over
+blocks of steps, each weight run factored once (:func:`_step_products`).
+On a time-invariant model a link depends only on the previous step's
+eigenpairs, which recur exactly, so a recurring input reuses its link.
+The data pass maps (r, alpha) through the links and factorizes nothing;
+:func:`run` returns a :class:`Run`, its arrays indexed by step.  The model keeps its last schedule, and its
 matrices are read-only so that schedule cannot go stale.  :func:`init`
 and :func:`step` compute and apply one link each, through the same code.
 
@@ -75,7 +77,7 @@ from .errors import (
     NumericalBreakdown,
     OutsideObservable,
 )
-from .linalg import EPS, as_rows, as_vector, factor_cutoff, kept_count, qform
+from .linalg import EPS, as_rows, as_vector, factor_cutoff, kept_count, qform, weight_factors
 from .model import DescriptorModel, step_changes
 
 __all__ = [
@@ -215,50 +217,89 @@ class Link(NamedTuple):
     R: np.ndarray
 
 
-def _weight_factor(S: np.ndarray) -> np.ndarray:
-    """W with W'W = S: the transposed Cholesky factor, or, for a weight
-    that is not numerically definite, diag(sqrt(clipped eigenvalues)) V'."""
-    try:
-        return np.linalg.cholesky(S).T
-    except np.linalg.LinAlgError:
-        eigs, vecs = np.linalg.eigh(S)
-        return np.sqrt(np.clip(eigs, 0.0, None))[:, None] * vecs.T
-
-
 class _Products(NamedTuple):
     """The products of step k that depend on the model alone.
 
-    With W'W = S_k and Q'Q = R_k: WF = W F_k, G = W C_{k-1} (None at
-    k = 0), QH = Q H_k, HtR = H_k'R_k.
+    With W'W = S_k and Q'Q = R_k (``linalg.weight_factors``): WF = W F_k,
+    G = W C_{k-1} (zeros at k = 0, where no link reads it), QH = Q H_k,
+    HtR = H_k'R_k.  For a stack of steps each has a leading step axis.
     """
 
-    W: np.ndarray
-    Q: np.ndarray
     WF: np.ndarray
-    G: np.ndarray | None
+    G: np.ndarray
     QH: np.ndarray
     HtR: np.ndarray
     R: np.ndarray
 
 
-def _products(model: DescriptorModel, k: int, prev: _Products | None = None,
-              changed=(True,) * 5) -> _Products:
-    """Step k's model-only products (see :class:`_Products`).
+def _stacked_products(model: DescriptorModel, k: np.ndarray, W: np.ndarray,
+                      Q: np.ndarray) -> _Products:
+    """The products of the ascending steps ``k`` (an index array), one
+    stacked matmul each, from the (T, m, m) and (T, p, p) factors W and Q
+    of their weights.  A stacked matmul makes each step's BLAS call alone,
+    so every step's products equal its products on a stack of one."""
+    F, H, R = model.F[k], model.H[k], model.R[k]
+    WF = W @ F
+    G = np.zeros_like(WF)
+    late = k > 0
+    if late.any():  # a model of horizon 0 may have C of any shape
+        G[late] = W[late] @ model.C[k[late] - 1]
+    return _Products(WF, G, Q @ H, H.mT @ R, R)
 
-    ``changed`` flags which of F_k, C_{k-1}, H_k, S_k, R_k differ bit for
-    bit from the step before; every product of unchanged matrices is taken
-    from ``prev`` (step k-1's products), so a repeated weight is factored once.
-    """
-    new_F, new_C, new_H, new_S, new_R = changed
-    if not any(changed):
-        return prev
-    F, H, S, R = model.F[k], model.H[k], model.S[k], model.R[k]
-    W = _weight_factor(S) if new_S else prev.W
-    WF = W @ F if new_S or new_F else prev.WF
-    G = None if k == 0 else W @ model.C[k - 1] if new_S or new_C else prev.G
-    Q = _weight_factor(R) if new_R else prev.Q
-    QH, HtR = (Q @ H, H.T @ R) if new_R or new_H else (prev.QH, prev.HtR)
-    return _Products(W, Q, WF, G, QH, HtR, R)
+
+def _products(model: DescriptorModel, k: int) -> _Products:
+    """Step k's products: :func:`_stacked_products` on a stack of one step."""
+    at = np.array([k])
+    stack = _stacked_products(model, at, weight_factors(model.S[at]), weight_factors(model.R[at]))
+    return _Products(*(a[0] for a in stack))
+
+
+def _run_factors(weights: np.ndarray, changes: np.ndarray):
+    """The factors of a weight field for successive blocks of ascending
+    steps: a function of a block's step indices returning the (T, ., .)
+    stack of their ``linalg.weight_factors``.  Each run of equal weights
+    (``changes`` from ``model.step_changes``) is factored once: the last
+    run of a block is kept for the next, and nothing more."""
+    run_of = np.cumsum(changes) - 1
+    starts = np.flatnonzero(changes)
+    kept = (-1, None)  # (run, W' of it)
+
+    def factors(k):
+        nonlocal kept
+        runs = run_of[k]
+        parts = [kept[1][None]] if runs[0] == kept[0] else []
+        fresh = starts[runs[0] + len(parts):runs[-1] + 1]
+        if fresh.size:
+            parts.append(weight_factors(weights[fresh]).mT)
+        Wt = np.concatenate(parts)
+        kept = (runs[-1], Wt[-1])
+        # W' stays C-contiguous, so each W keeps the layout of cholesky(S).T.
+        return Wt[runs - runs[0]].mT
+
+    return factors
+
+
+def _step_products(model: DescriptorModel):
+    """Each step's :class:`_Products`, in order, one object for a run of
+    steps none of whose matrices F_k, C_{k-1}, H_k, S_k, R_k changes.  The
+    steps with a change are taken in blocks of at most _STACK_ELEMENTS
+    product elements through :func:`_stacked_products`, and each run of
+    equal weights is factored once.  One block's products are held at a
+    time; only the HtR and R that links keep outlive it."""
+    changes = np.array([step_changes(model.F), np.insert(step_changes(model.C), 0, True),
+                        step_changes(model.H), step_changes(model.S), step_changes(model.R)])
+    new = np.flatnonzero(changes.any(axis=0))
+    counts = np.diff(new, append=model.tau + 1).tolist()
+    factors = _run_factors(model.S, changes[3]), _run_factors(model.R, changes[4])
+    m, n, p = model.m, model.n, model.p
+    size = max(1, _STACK_ELEMENTS // (m * (m + 2 * n) + p * (p + 2 * n)))
+    for at in range(0, new.size, size):
+        k = new[at:at + size]
+        block = _stacked_products(model, k, *(of(k) for of in factors))
+        for i, count in enumerate(counts[at:at + size]):
+            prod = _Products(*(a[i] for a in block))
+            for _ in range(count):
+                yield prod
 
 
 def _quiet():
@@ -345,13 +386,14 @@ def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
     """``(links, link_of)``: the distinct links of steps 0..tau, which depend
     on the model alone, and the read-only (tau+1,) index of each step's link.
 
-    Each step reuses every product of the step before whose matrices are
-    bit for bit the same (the factors of S_k and R_k and the products with
-    them; see ``model.step_changes``), so a run of equal weights is
-    factored once.  While the products stay the same, a link is a function
-    of its input (V_{k-1}, lam_{k-1}) alone, and in floating point that
-    input falls into an exact cycle; so a step whose input recurs bit for
-    bit reuses the link that input produced before, and a time-invariant model
+    The products of every step come from :func:`_step_products`, in
+    stacked calls over blocks of steps: a step whose matrices all repeat
+    the step before's bit for bit (see ``model.step_changes``) reuses its
+    products, and each run of equal weights is factored once.  While the
+    products stay the same, a link is a function of its input
+    (V_{k-1}, lam_{k-1}) alone, and in floating point that input falls
+    into an exact cycle; so a step whose input recurs bit for bit reuses
+    the link that input produced before, and a time-invariant model
     factorizes each distinct input once.  When the products change the
     table of inputs is dropped and no key is computed, so a time-varying
     model pays nothing for it.  The model keeps its last schedule, so a
@@ -361,15 +403,11 @@ def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
     kept = model._schedule
     if kept is not None and kept[0] == rank_tol:
         return kept[1:]
-    changes = [step_changes(getattr(model, name)).tolist() for name in "FCHSR"]
-    changes[1].insert(0, True)  # step k reads C_{k-1}
-    links, link_of, V, lam, prod, seen = [], [], None, None, None, {}
+    links, link_of, V, lam, last, seen = [], [], None, None, None, {}
     with _quiet():
-        for k, changed in enumerate(zip(*changes, strict=True)):
-            # Only the previous step's products are held: keeping every step's
-            # would hold them all alive on a time-varying model.
-            last, prod = prod, _products(model, k, prod, changed)
+        for k, prod in enumerate(_step_products(model)):
             key, seen = ((V.tobytes(), lam.tobytes()), seen) if prod is last else (None, {})
+            last = prod
             i = seen.get(key)
             if i is None:
                 i = seen[key] = len(links)

@@ -25,6 +25,7 @@ __all__ = [
     "relative_cutoff",
     "factor_cutoff",
     "kept_count",
+    "weight_factors",
     "pinv",
     "numerical_rank",
     "sym_rank",
@@ -112,6 +113,32 @@ def kept_count(s: np.ndarray, cut: float) -> int:
     return int(np.count_nonzero(s > cut * s[0])) if s.size else 0
 
 
+def weight_factors(S: np.ndarray) -> np.ndarray:
+    """W with W'W = S for each matrix of a (T, m, m) stack of symmetric
+    weights: the transposed Cholesky factor, or, for a weight that is not
+    numerically definite, diag(sqrt(clipped eigenvalues)) V' from its
+    eigenpairs.
+
+    One stacked Cholesky call; it raises when any matrix fails, and then
+    each matrix is factored alone, so only those that fail take the
+    eigen-factor.  The result is the transposed view of a C-contiguous
+    stack of W', the layout of ``cholesky(S_i).T``, so products with it
+    make the BLAS calls of a single matrix's factor.
+    """
+    try:
+        return np.linalg.cholesky(S).mT
+    except np.linalg.LinAlgError:
+        pass
+    Wt = np.empty_like(S)
+    for i, weight in enumerate(S):
+        try:
+            Wt[i] = np.linalg.cholesky(weight)
+        except np.linalg.LinAlgError:
+            eigs, vecs = np.linalg.eigh(weight)
+            Wt[i] = vecs * np.sqrt(np.clip(eigs, 0.0, None))
+    return Wt.mT
+
+
 def pinv(a, rank_tol: float = 0.0) -> np.ndarray:
     """Moore-Penrose pseudoinverse via full SVD with a relative cutoff.
 
@@ -137,11 +164,16 @@ def pinv(a, rank_tol: float = 0.0) -> np.ndarray:
     return (vt[:r].T / s[:r]) @ u[:, :r].T
 
 
-def numerical_rank(a, rank_tol: float = 0.0) -> int:
-    """Number of singular values above the shared relative cutoff."""
-    m = as_matrix(a)
+def numerical_rank(a, rank_tol: float = 0.0):
+    """Number of singular values above the shared relative cutoff: an int
+    for a matrix, an int array for a (T, rows, cols) stack of finite
+    matrices, decided in one stacked call with each matrix's own cutoff."""
+    m = np.asarray(a, dtype=float) if np.ndim(a) == 3 else as_matrix(a)
     s = np.linalg.svd(m, compute_uv=False)
-    return kept_count(s, relative_cutoff(rank_tol, m.shape))
+    cut = relative_cutoff(rank_tol, m.shape[-2:])
+    if m.ndim == 2:
+        return kept_count(s, cut)
+    return np.count_nonzero(s > cut * s[:, :1], axis=1)
 
 
 def sym_rank(a, rank_tol: float = 0.0) -> int:

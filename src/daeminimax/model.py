@@ -352,9 +352,17 @@ def augment_ode(A, output_map, S, R, tau: int | None = None) -> DescriptorModel:
         raise DimensionMismatch(f"output_map has {output_map.shape[2]} columns, expected {n}")
     eye = np.eye(n)
     F = matrix_sequence(np.hstack([eye, np.zeros((n, n))]), "F", tau + 1)
-    C = [np.hstack([Ak, eye]) for Ak in A]
-    H = [np.hstack([Hk, np.zeros((Hk.shape[0], n))]) for Hk in output_map]
+    C = _widened(A, eye, "C")
+    H = _widened(output_map, np.zeros((output_map.shape[1], n)), "H")
     return DescriptorModel.from_sequences(F, C, H, S, R)
+
+
+def _widened(seq: np.ndarray, right: np.ndarray, name: str) -> np.ndarray:
+    """Each matrix of ``seq`` with the columns ``right`` appended; a stack
+    with stride 0 on the step axis (one matrix for every step) stays one."""
+    if len(seq) and not seq.strides[0]:
+        return matrix_sequence(np.hstack([seq[0], right]), name, len(seq))
+    return np.concatenate((seq, np.broadcast_to(right, (len(seq), *right.shape))), axis=2)
 
 
 def truncate(model: DescriptorModel, tau: int) -> DescriptorModel:

@@ -29,6 +29,13 @@ from daeminimax.model import DescriptorModel, budget
 GRAY_CUTOFF_MARGIN = 0.05
 GRAY_HIGH = 1e-5
 
+# A weight that validate accepts (smallest eigenvalue 7.5e-17) but Cholesky
+# rejects, so it takes the eigen-factor of ``linalg.weight_factors``.
+CHOLESKY_REJECTED_WEIGHT = np.array([
+    [0.6775286921397962, 0.0645164888856857, -1.2707611296467278],
+    [0.0645164888856857, 0.07602325651304703, -0.26691964495471],
+    [-1.2707611296467278, -0.26691964495471, 2.688095002762758]])
+
 
 def random_psd_weight(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random symmetric positive-definite matrix, comfortably conditioned."""

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import feasible_data, random_measurements, random_model
+from conftest import CHOLESKY_REJECTED_WEIGHT, feasible_data, random_measurements, random_model
 from daeminimax import batch, estimator
-from daeminimax.model import DescriptorModel
+from daeminimax.errors import DimensionMismatch
+from daeminimax.model import DescriptorModel, truncate
 
 
 def scalar_chain(tau=1):
@@ -140,3 +141,43 @@ def test_oracle_and_recursion_share_the_cutoff(tol, expected):
     assert batch.value_function(prob, q, tol) == pytest.approx(expected, abs=1e-12)
     recursion = q @ state.P @ q - 2.0 * state.r @ q + state.alpha
     assert recursion == pytest.approx(expected, abs=1e-12)
+
+
+def test_weighted_stack_from_blocks_matches_the_dense_products():
+    rng = np.random.default_rng(25)
+    for _ in range(10):
+        model = random_model(rng)
+        prob = batch.assemble(model, random_measurements(rng, model))
+        M, d, _ = batch._weighted_stack(prob, 0.0)
+        W1, W2 = np.linalg.cholesky(prob.Q1).T, np.linalg.cholesky(prob.Q2).T
+        dense = np.vstack([W1 @ prob.L, W2 @ prob.H])
+        assert np.allclose(M, dense, rtol=0.0, atol=1e-13 * np.abs(dense).max())
+        assert np.allclose(d, np.concatenate([np.zeros(prob.L.shape[0]), W2 @ prob.y]),
+                           rtol=0.0, atol=1e-13 * np.abs(d).max())
+
+
+def test_leading_blocks_are_the_truncated_problem():
+    rng = np.random.default_rng(26)
+    model = random_model(rng, n=3, m=2, p=2, tau=6)
+    ys = random_measurements(rng, model)
+    whole = batch.assemble(model, ys)
+    for k in range(model.tau + 1):
+        got, want = batch.leading(whole, k), batch.assemble(truncate(model, k), ys[: k + 1])
+        for name in ("L", "H", "Q1", "Q2", "y", "W1", "W2", "n", "m", "p", "tau"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert batch.solve(got).minI == pytest.approx(batch.solve(want).minI, abs=1e-12)
+    with pytest.raises(DimensionMismatch):
+        batch.leading(whole, model.tau + 1)
+
+
+def test_solve_takes_the_eigen_factor_of_a_weight_cholesky_rejects():
+    # validate accepts this weight, whose dense block-diagonal Cholesky
+    # factor used to end the solve in a LinAlgError.
+    eye = np.eye(3)
+    model = DescriptorModel.constant(eye, eye, [[1.0, 0.0, 0.0]], CHOLESKY_REJECTED_WEIGHT,
+                                     [[1.0]], tau=3)
+    prob = batch.assemble(model, np.array([[0.1], [0.2], [0.0], [-0.1]]))
+    assert np.allclose(prob.W1.mT @ prob.W1, CHOLESKY_REJECTED_WEIGHT, atol=1e-14)
+    sol = batch.solve(prob)
+    assert sol.minI == pytest.approx(batch.objective(prob, sol.xstack), abs=1e-15)
+    assert batch.decomposition_check(prob, sol, np.ones(12)) <= 1e-9

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import feasible_data, random_model
+from conftest import CHOLESKY_REJECTED_WEIGHT, feasible_data, random_model
 from daeminimax import batch, cli, demo, errors, estimator, kalman
 from daeminimax.formats import load_model_file, measurement_rows, read_table, write_table
 
@@ -476,8 +476,41 @@ def test_compare_kalman_decides_each_step_regularity_once(tmp_path, capsys, monk
     monkeypatch.setattr(kalman, "numerical_rank", counted)
     rc = cli.main(["compare", "--spec", spec, "--measurements", str(ys), "--mode", "kalman"])
     assert rc == 0
-    assert len(calls) == tau + 1
+    # One stacked decision over the runs of equal [F_k; H_k]; the constant
+    # model has one run.
+    assert len(calls) == 1
     assert capsys.readouterr().out.startswith("k,state_discrepancy\n")
+
+
+def test_compare_batch_assembles_once_and_solves_each_horizon(tmp_path, capsys, monkeypatch):
+    tau = 4
+    spec = write_json(tmp_path / "model.json", scalar_doc(tau=tau))
+    ys = tmp_path / "ys.csv"
+    write_table(ys, ["k", "y0"], [[k, 0.1 * k] for k in range(tau + 1)])
+    assemble, solve, calls = batch.assemble, batch.solve, []
+    monkeypatch.setattr(batch, "assemble", lambda *a: calls.append("assemble") or assemble(*a))
+    monkeypatch.setattr(batch, "solve", lambda *a: calls.append(a[0].tau) or solve(*a))
+    rc = cli.main(["compare", "--spec", spec, "--measurements", str(ys), "--mode", "batch"])
+    assert rc == 0
+    assert calls == ["assemble", 0, 1, 2, 3, 4]
+    assert len(capsys.readouterr().out.splitlines()) == tau + 3
+
+
+def test_compare_batch_takes_a_weight_cholesky_rejects(tmp_path, capsys):
+    # validate accepts S (smallest eigenvalue 7.5e-17), and estimate and
+    # compare --mode kalman exit 0 on it; compare --mode batch ended in a
+    # LinAlgError traceback before the oracle took its eigen-factor.
+    doc = {"n": 3, "m": 3, "p": 1, "tau": 3, "F": np.eye(3).tolist(), "C": np.eye(3).tolist(),
+           "H": [[1.0, 0.0, 0.0]], "S": CHOLESKY_REJECTED_WEIGHT.tolist(), "R": [[1.0]],
+           "f": ["0.1 if k == 0 else 0.0", "0.0", "0.0"], "g": ["0.01 * k"]}
+    spec = write_json(tmp_path / "model.json", doc)
+    traj = tmp_path / "traj.csv"
+    assert cli.main(["simulate", "--spec", spec, "--out", str(traj)]) == 0
+    capsys.readouterr()
+    rc = cli.main(["compare", "--spec", spec, "--measurements", str(traj), "--mode", "batch"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert float(captured.out.splitlines()[-1].split(",")[1]) <= cli.COMPARE_TOL
 
 
 def test_compare_absurd_rank_tol_exits_1(tmp_path, capsys):

@@ -18,8 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import feasible_data, random_model, random_psd_weight, well_conditioned_instance
-from daeminimax import batch, cli, estimator, formats
+from conftest import (
+    CHOLESKY_REJECTED_WEIGHT,
+    feasible_data,
+    random_model,
+    random_psd_weight,
+    random_regular_model,
+    well_conditioned_instance,
+)
+from daeminimax import batch, cli, estimator, formats, kalman
 from daeminimax.linalg import EPS, pinv, qform, range_projector, sym_rank, symmetrize
 from daeminimax.model import DescriptorModel, step_changes, truncate, validate
 
@@ -38,6 +45,20 @@ def factorizations(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Counter of the matrices numpy.linalg factorizations took during the
+    test: a call on a (T, m, m) stack counts T."""
+    matrices = Counter()
+    for name in FACTORIZATIONS:
+        def counted(a, *args, _name=name, _func=getattr(np.linalg, name), **kwargs):
+            matrices[_name] += math.prod(np.shape(a)[:-2])
+            return _func(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return matrices
 
 
 def test_queries_make_no_factorization(factorizations):
@@ -387,9 +408,10 @@ def test_schedule_drops_reuse_when_a_weight_switches():
     _assert_schedule_is_the_chain(model)
 
 
-def test_schedule_factors_each_run_of_equal_weights_once(factorizations):
+def test_schedule_factors_each_run_of_equal_weights_once(factorizations, factored):
     # Time-varying F, C, H, and per-step copies of S and R whose values run
-    # a a b b b a and c c c d c c: each run of equal weights is factored once.
+    # a a b b b a and c c c d c c: each run of equal weights is factored
+    # once, in one stacked call per weight field.
     rng = np.random.default_rng(50)
     base = random_model(rng, n=3, m=2, p=1, tau=5)
     S_a, S_b = random_psd_weight(rng, 2), random_psd_weight(rng, 2)
@@ -400,19 +422,128 @@ def test_schedule_factors_each_run_of_equal_weights_once(factorizations):
     assert step_changes(model.S).tolist() == [True, False, True, False, False, True]
     assert step_changes(model.R).tolist() == [True, False, False, True, True, False]
     factorizations.clear()
+    factored.clear()
     estimator.schedule(model)
-    assert factorizations["cholesky"] == 3 + 3
+    assert factored["cholesky"] == 3 + 3
+    assert factorizations["cholesky"] == 2
     _assert_schedule_is_the_chain(model)
 
 
-def test_schedule_factors_a_repeated_weight_once(factorizations):
+def test_schedule_factors_a_repeated_weight_once(factorizations, factored):
     rng = np.random.default_rng(48)
-    # One Cholesky factor per distinct S and R object, k = 0 included.
+    # One Cholesky factor per distinct S and R object, k = 0 included, in
+    # one stacked call per weight field.
     estimator.schedule(_constant_model(rng, 3, 3, 1, tau=50))
-    assert factorizations["cholesky"] == 2
+    assert factored["cholesky"] == 2
     factorizations.clear()
+    factored.clear()
     estimator.schedule(random_model(rng, n=3, m=3, p=1, tau=50))
-    assert factorizations["cholesky"] == 2 * 51
+    assert factored["cholesky"] == 2 * 51
+    assert factorizations["cholesky"] == 2
+
+
+def _factor_of_one(S):
+    """W'W = S as one weight alone is factored: Cholesky, else the eigen-factor."""
+    try:
+        return np.linalg.cholesky(S).T
+    except np.linalg.LinAlgError:
+        eigs, vecs = np.linalg.eigh(S)
+        return np.sqrt(np.clip(eigs, 0.0, None))[:, None] * vecs.T
+
+
+def _products_of_one_step(model, k):
+    """WF, G, QH and HtR of step k by the arithmetic of that step alone."""
+    W, Q = _factor_of_one(model.S[k]), _factor_of_one(model.R[k])
+    G = W @ model.C[k - 1] if k else np.zeros((model.m, model.n))
+    return W @ model.F[k], G, Q @ model.H[k], model.H[k].T @ model.R[k]
+
+
+def _weight_runs_model(kind, tau=30):
+    """A model of n = m = 3, p = 1 whose weights are constant, vary at every
+    step, switch mid-horizon and back, or hold one weight that Cholesky
+    rejects for a few steps."""
+    rng = np.random.default_rng(63)
+    base = random_model(rng, n=3, m=3, p=1, tau=tau)
+    if kind == "time-varying":
+        return base
+    if kind == "constant":
+        return _constant_model(rng, 3, 3, 1, tau)
+    S_a, S_b = random_psd_weight(rng, 3), random_psd_weight(rng, 3)
+    if kind == "rejected":
+        S_b = CHOLESKY_REJECTED_WEIGHT
+    S = [S_b if 10 <= k < 14 else S_a for k in range(tau + 1)]
+    R = [base.R[0] if k < 20 else base.R[1] for k in range(tau + 1)]
+    return DescriptorModel.from_sequences(base.F, base.C, base.H, S, R)
+
+
+@pytest.mark.parametrize("kind", ["constant", "time-varying", "switching", "rejected"])
+def test_step_products_match_the_arithmetic_of_each_step(kind, monkeypatch, factored):
+    # Blocks of 4 steps (3 * 9 + 1 * 7 = 34 elements a step), so runs of
+    # equal weights cross block boundaries.
+    monkeypatch.setattr(estimator, "_STACK_ELEMENTS", 4 * 34)
+    model = _weight_runs_model(kind)
+    prods = list(estimator._step_products(model))
+    runs = np.count_nonzero(step_changes(model.S)) + np.count_nonzero(step_changes(model.R))
+    # The rejected weight's stacked call (of that weight alone) fails and
+    # is tried once more a matrix at a time before its eigen-factor.
+    assert factored["cholesky"] == runs + (kind == "rejected")
+    assert factored["eigh"] == (kind == "rejected")
+    assert len(prods) == model.tau + 1
+    for k, prod in enumerate(prods):
+        for got, want in zip(prod, _products_of_one_step(model, k), strict=False):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_step_products_are_computed_in_bounded_blocks(monkeypatch):
+    model = _weight_runs_model("time-varying", tau=40)
+    monkeypatch.setattr(estimator, "_STACK_ELEMENTS", 10 * 34)
+    stacked, sizes = estimator._stacked_products, []
+
+    def recorded(model, k, W, Q):
+        sizes.append(k.size)
+        return stacked(model, k, W, Q)
+
+    monkeypatch.setattr(estimator, "_stacked_products", recorded)
+    assert len(list(estimator._step_products(model))) == 41
+    assert sizes == [10, 10, 10, 10, 1]
+    # A step larger than the bound makes blocks of one step.
+    monkeypatch.setattr(estimator, "_STACK_ELEMENTS", 1)
+    sizes.clear()
+    list(estimator._step_products(model))
+    assert sizes == [1] * 41
+
+
+@pytest.mark.parametrize("kind", ["constant", "switching", "rejected"])
+def test_batch_factors_each_run_of_equal_weights_once_per_command(kind, factored):
+    model = _weight_runs_model(kind, tau=16)
+    ys = np.random.default_rng(64).normal(size=(17, 1))
+    whole = batch.assemble(model, ys)
+    runs = np.count_nonzero(step_changes(model.S)) + np.count_nonzero(step_changes(model.R))
+    # A stacked call that holds the rejected weight fails, and its weights
+    # are tried once more a matrix at a time.
+    runs += np.count_nonzero(step_changes(model.S)) if kind == "rejected" else 0
+    assert factored["cholesky"] == runs
+    for k in range(model.tau + 1):
+        batch.solve(batch.leading(whole, k))
+    assert factored["cholesky"] == runs and factored["eigh"] == (kind == "rejected")
+    assert factored["lstsq"] == model.tau + 1
+
+
+def test_run_kalman_inverts_each_run_of_equal_weights_once(factorizations, factored):
+    rng = np.random.default_rng(65)
+    base = random_regular_model(rng, n=2, tau=24)
+    S_a, S_b = random_psd_weight(rng, 2), random_psd_weight(rng, 2)
+    S = [S_b if 5 <= k < 9 else S_a for k in range(25)]
+    model = DescriptorModel.from_sequences(base.F, base.C, base.H, S, base.R)
+    ys = rng.normal(size=(25, base.p))
+    factorizations.clear()
+    factored.clear()
+    kalman.run_kalman(model, ys)
+    # Runs of S_k over k = 1..24: a, b, a.  Then one gain and one
+    # information matrix a step, and P_{0|0}.
+    assert factored["inv"] == 3 + 2 * 24 + 1
+    # Regularity: one stacked singular-value call over the 25 distinct [F_k; H_k].
+    assert factorizations["svd"] == 1 and factored["svd"] == 25
 
 
 def test_validate_reports_a_shared_bad_matrix_under_every_name():

@@ -1,7 +1,8 @@
 """Fuzzed CLI inputs: mutated demonstration documents and measurement CSVs
-run through ``observability``, ``estimate`` and ``compare --mode kalman``
-with numpy's RuntimeWarning raised as an error.  Every run must end with
-a documented exit code, print exactly one ``error:`` line when it fails,
+run through ``observability``, ``estimate`` and ``compare`` in both
+modes, and mutated inputs documents through ``simulate --inputs``, with
+numpy's RuntimeWarning raised as an error.  Every run must end with a
+documented exit code, print exactly one ``error:`` line when it fails,
 and never escape ``cli.main`` (which would print a traceback)."""
 
 import io
@@ -48,6 +49,11 @@ CSV_EDITS = st.one_of(
     st.tuples(st.just("cell"), st.tuples(st.integers(0, TAU + 1), st.integers(0, 2)), CELLS),
     st.tuples(st.just("column"), st.integers(0, TAU + 1), CELLS),
 )
+INPUT_KEYS = st.sampled_from(["f", "g", "w", "extra"])
+INPUT_EDITS = st.one_of(st.tuples(st.just("set"), INPUT_KEYS, VALUES),
+                        st.tuples(st.just("drop"), INPUT_KEYS, st.none()))
+# Mostly an object, so most runs reach the sequences.
+INPUT_DOCUMENTS = st.sampled_from([None] * 6 + [[], "f", 1.5])
 # Mostly the default cutoff and a valid direction, so most runs reach the model.
 OPTIONS = st.tuples(st.sampled_from(["0"] * 5 + ["1e-8", "0.5", "-1", "nan"]),
                     st.sampled_from(["1,0,0,0"] * 3 + ["0,1,0,0", "1,0", "nan,0,0,0", "a"]))
@@ -110,6 +116,19 @@ def _run(argv) -> tuple:
     return code, err.getvalue()
 
 
+def _check(argv) -> None:
+    """Run one command; it must end with a documented exit and, when it
+    fails, exactly one error: line."""
+    code, err = _run(argv)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code in CODES, (argv[0], code, err)
+    assert "Traceback" not in err
+    if code == cli.EXIT_OK or (code in RESULT_EXITS.get(argv[0], ()) and not errors):
+        assert not errors, (argv[0], err)
+    else:
+        assert len(errors) == 1, (argv[0], code, err)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(doc_edits=st.lists(DOC_EDITS, max_size=3), csv_edits=st.lists(CSV_EDITS, max_size=2),
        options=OPTIONS)
@@ -126,12 +145,25 @@ def test_mutated_inputs_end_with_a_documented_exit_and_one_error_line(doc_edits,
         for argv in (["observability", "--spec", spec, "--rank-tol", rank_tol],
                      ["estimate", *data, "--out", os.path.join(tmp, "est.csv"),
                       "--direction", direction],
-                     ["compare", *data, "--mode", "kalman"]):
-            code, err = _run(argv)
-            errors = [line for line in err.splitlines() if line.startswith("error:")]
-            assert code in CODES, (argv[0], code, err)
-            assert "Traceback" not in err
-            if code == cli.EXIT_OK or (code in RESULT_EXITS.get(argv[0], ()) and not errors):
-                assert not errors, (argv[0], err)
-            else:
-                assert len(errors) == 1, (argv[0], code, err)
+                     ["compare", *data, "--mode", "kalman"],
+                     ["compare", *data, "--mode", "batch"]):
+            _check(argv)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(doc_edits=st.lists(DOC_EDITS, max_size=2), input_edits=st.lists(INPUT_EDITS, max_size=3),
+       whole=INPUT_DOCUMENTS)
+def test_mutated_inputs_documents_end_with_a_documented_exit(doc_edits, input_edits, whole):
+    inputs = {key: DOCUMENT[key] for key in "fgw"}
+    for action, key, value in input_edits:
+        if action == "set":
+            inputs[key] = value
+        else:
+            inputs.pop(key, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, path = os.path.join(tmp, "model.json"), os.path.join(tmp, "inputs.json")
+        with open(spec, "w") as handle:
+            json.dump(_edit_document(doc_edits), handle)
+        with open(path, "w") as handle:
+            json.dump(inputs if whole is None else whole, handle)
+        _check(["simulate", "--spec", spec, "--inputs", path, "--out", os.path.join(tmp, "x.csv")])

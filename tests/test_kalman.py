@@ -132,3 +132,44 @@ def test_measurement_blocks_are_checked_alike(entry):
         entry(model, np.ones((2, 3)))
     with pytest.raises(InvalidMatrix):
         entry(model, np.array([[0.0, np.inf], [0.0, 0.0]]))
+
+
+def test_run_kalman_is_the_chain_of_its_steps_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        model = random_regular_model(rng, tau=12)
+        ys = random_measurements(rng, model)
+        state = kalman.kalman_init(model, ys[0])
+        for k, got in enumerate(kalman.run_kalman(model, ys)):
+            if k:
+                state = kalman.kalman_step(state, model, ys[k])
+            assert got.k == state.k
+            assert got.P.tobytes() == state.P.tobytes() and got.x.tobytes() == state.x.tobytes()
+
+
+def test_run_kalman_names_the_runs_of_irregular_steps_before_the_recursion(monkeypatch):
+    # H_k = 0 at steps 0, 2, 5 and 6 makes [F_k; H_k] = [0; 0] rank deficient there.
+    H = [[[0.0 if k in (0, 2, 5, 6) else 1.0]] for k in range(8)]
+    model = DescriptorModel.from_sequences([[[0.0]]] * 8, [[[1.0]]] * 7, H,
+                                           [[[1.0]]] * 8, [[[1.0]]] * 8)
+
+    def no_recursion(*args):
+        raise AssertionError("recursion on an irregular model")
+
+    monkeypatch.setattr(kalman, "_first", no_recursion)
+    with pytest.raises(SingularMatrix) as info:
+        kalman.run_kalman(model, np.zeros((8, 1)))
+    assert str(info.value) == "regularity violated at steps [0, 2, 5..6]: rank [F_k; H_k] < n"
+
+
+def test_run_kalman_names_a_singular_transition_weight():
+    # S_k = 0 at steps 2 and 3 (one run): no covariance-form inverse exists.
+    one, zero = np.array([[1.0]]), np.array([[0.0]])
+    model = DescriptorModel.from_sequences([one] * 6, [one] * 5, [one] * 6,
+                                           [zero if k in (2, 3) else one for k in range(6)],
+                                           [one] * 6)
+    with pytest.raises(SingularMatrix, match=r"^S_2\.\.3 is numerically singular$"):
+        kalman.run_kalman(model, np.ones((6, 1)))
+    state = kalman.kalman_step(kalman.kalman_init(model, [1.0]), model, [1.0])
+    with pytest.raises(SingularMatrix, match=r"^S_2 is numerically singular$"):
+        kalman.kalman_step(state, model, [1.0])

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import CHOLESKY_REJECTED_WEIGHT, random_psd_weight
 from daeminimax.errors import DimensionMismatch, InvalidMatrix
 from daeminimax.linalg import (
     EPS,
@@ -19,6 +20,7 @@ from daeminimax.linalg import (
     relative_cutoff,
     sym_rank,
     symmetrize,
+    weight_factors,
 )
 
 ATOL = 1e-10
@@ -192,3 +194,40 @@ def test_qform():
 
 def test_eps_constant_matches_float64():
     assert EPS == np.finfo(np.float64).eps
+
+
+def _eigen_factor(S):
+    eigs, vecs = np.linalg.eigh(S)
+    return np.sqrt(np.clip(eigs, 0.0, None))[:, None] * vecs.T
+
+
+def test_weight_factors_are_each_matrix_cholesky_factor_bit_for_bit():
+    rng = np.random.default_rng(60)
+    S = np.stack([random_psd_weight(rng, 3) for _ in range(5)])
+    W = weight_factors(S)
+    for Wk, Sk in zip(W, S):
+        want = np.linalg.cholesky(Sk).T
+        assert Wk.tobytes() == want.tobytes() and Wk.strides == want.strides
+
+
+def test_weight_factors_take_the_eigen_factor_for_one_rejected_weight(monkeypatch):
+    rng = np.random.default_rng(61)
+    S = np.stack([random_psd_weight(rng, 3), CHOLESKY_REJECTED_WEIGHT, random_psd_weight(rng, 3)])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(CHOLESKY_REJECTED_WEIGHT)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    W = weight_factors(S)
+    assert len(calls) == 1
+    wants = [np.linalg.cholesky(S[0]).T, _eigen_factor(S[1]), np.linalg.cholesky(S[2]).T]
+    for Wk, want in zip(W, wants):
+        assert Wk.tobytes() == want.tobytes() and Wk.strides == want.strides
+    assert np.allclose(W[1].T @ W[1], S[1], atol=1e-14)
+
+
+def test_numerical_rank_of_a_stack_decides_each_matrix_alone():
+    rng = np.random.default_rng(62)
+    stack = np.stack([rng.normal(size=(5, r)) @ rng.normal(size=(r, 4)) for r in (0, 1, 3, 4)])
+    for tol in (0.0, 1e-3):
+        ranks = numerical_rank(stack, tol)
+        assert ranks.tolist() == [numerical_rank(a, tol) for a in stack] == [0, 1, 3, 4]

@@ -285,6 +285,21 @@ def test_augment_ode_time_varying_and_tau_inference():
     assert np.array_equal(model.C[2][:, :2], 3 * np.eye(2))
 
 
+def test_augment_ode_keeps_a_single_matrix_one_matrix():
+    # The demonstration's A and output map are single matrices: C and H keep
+    # stride 0 on the step axis, and hold the blocks of every step.
+    model = demo.build_model(2000)
+    assert model.C.strides[0] == 0 and model.H.strides[0] == 0
+    assert model.C.shape == (2000, 2, 4) and model.H.shape == (2001, 1, 4)
+    assert np.array_equal(model.C[1999], np.hstack([demo.DRIVE_MATRIX, np.eye(2)]))
+    assert np.array_equal(model.H[2000], np.hstack([demo.OUTPUT_MATRIX, np.zeros((1, 2))]))
+    # A time-varying A still makes per-step blocks.
+    A = np.stack([np.eye(2) * (k + 1) for k in range(3)])
+    varying = augment_ode(A, np.array([[1.0, 0.0]]), np.eye(2), [[1.0]])
+    assert varying.C.strides[0] != 0 and varying.H.strides[0] == 0
+    assert np.array_equal(varying.C, [np.hstack([Ak, np.eye(2)]) for Ak in A])
+
+
 def test_augment_ode_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         augment_ode(
