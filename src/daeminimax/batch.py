@@ -13,11 +13,12 @@ mathematically the same problem the recursive estimator solves step by
 step, computed by an independent route, which makes it the reference
 implementation the recursion is tested against.
 
-:func:`assemble` factors each distinct weight once, in one stacked call
-per weight field, and the least-squares stack is built from blocks, so
-nothing dense is factored or multiplied by a weight.  The problem of a
-shorter horizon is the leading blocks of a longer one (:func:`leading`),
-so one assembly serves every horizon of a model.
+:func:`assemble` factors each run of equal weights once, in one stacked
+call per weight field (``model.per_run``), and the least-squares stack
+is built from blocks, so nothing dense is factored or multiplied by a
+weight.  The problem of a shorter horizon is the leading blocks of a
+longer one (:func:`leading`), so one assembly serves every horizon of a
+model.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown
 from .linalg import as_rows, as_vector, factor_cutoff, weight_factors
-from .model import DescriptorModel, step_changes
+from .model import DescriptorModel, per_run
 
 __all__ = [
     "BatchProblem",
@@ -83,9 +84,9 @@ class BatchSolution:
 
 def _factors(weights: np.ndarray) -> np.ndarray:
     """``linalg.weight_factors`` of every step's weight, each run of equal
-    weights factored once."""
-    changes = step_changes(weights)
-    return weight_factors(weights[changes])[np.cumsum(changes) - 1]
+    weights factored once (``model.per_run``)."""
+    factors, run_of = per_run(weight_factors, weights)
+    return factors[run_of]
 
 
 def assemble(model: DescriptorModel, ys) -> BatchProblem:

@@ -29,7 +29,8 @@ from .errors import (
     SingularMatrix,
 )
 from .formats import format_number, load_inputs_file, load_model_file, measurement_rows, write_table
-from .linalg import EPS, as_vector, pinv, range_projector
+from .linalg import EPS, as_vector
+from .linalg import pinv, range_projector  # noqa: F401  (bench/tracing.py wraps them by name)
 from .model import budget, simulate, step_changes, step_runs, validate
 from .model import truncate  # noqa: F401  (bench/tracing.py wraps cli.truncate by name)
 
@@ -151,10 +152,8 @@ def cmd_compare(args) -> int:
         for k, state in enumerate(states):
             solution = batch.solve(batch.leading(whole, k), args.rank_tol)
             xlast = solution.xstack[-model.n :]
-            P = state.P
-            proj, xhat = range_projector(P, args.rank_tol), pinv(P, args.rank_tol) @ state.r
             report = estimator.estimate(state)
-            disc_x = float(np.linalg.norm(proj @ xlast - xhat))
+            disc_x = float(np.linalg.norm(report.projector @ xlast - report.xhat))
             disc_b = abs(report.beta - (1.0 - solution.minI))
             worst = float(np.max((worst, disc_x, disc_b)))
             print(f"{k},{format_number(disc_x)},{format_number(disc_b)}")

@@ -27,9 +27,10 @@ recursion is split.  :func:`schedule` computes each distinct :class:`Link`
 once, and ``link_of``, the index of each step's link: the kept eigenpairs
 (V_r, lam_r) of P_k and the transport factors of r and alpha, in
 square-root information form: P_k is never formed, only a factor Z_k
-with P_k = Z_k'Z_k (see :func:`_link`).  The products of the weight
+with P_k = Z_k'Z_k (see :func:`_link`).  Each run of equal weights is
+factored once per model (``model.per_run``), and the products of the
 factors with the model's matrices are computed in stacked calls over
-blocks of steps, each weight run factored once (:func:`_step_products`).
+blocks of steps (:func:`_step_products`).
 On a time-invariant model a link depends only on the previous step's
 eigenpairs, which recur exactly, so a recurring input reuses its link.
 The data pass maps (r, alpha) through the links and factorizes nothing;
@@ -78,7 +79,7 @@ from .errors import (
     OutsideObservable,
 )
 from .linalg import EPS, as_rows, as_vector, factor_cutoff, kept_count, qform, weight_factors
-from .model import DescriptorModel, step_changes
+from .model import DescriptorModel, per_run, step_changes
 
 __all__ = [
     "BETA_TOL",
@@ -254,48 +255,26 @@ def _products(model: DescriptorModel, k: int) -> _Products:
     return _Products(*(a[0] for a in stack))
 
 
-def _run_factors(weights: np.ndarray, changes: np.ndarray):
-    """The factors of a weight field for successive blocks of ascending
-    steps: a function of a block's step indices returning the (T, ., .)
-    stack of their ``linalg.weight_factors``.  Each run of equal weights
-    (``changes`` from ``model.step_changes``) is factored once: the last
-    run of a block is kept for the next, and nothing more."""
-    run_of = np.cumsum(changes) - 1
-    starts = np.flatnonzero(changes)
-    kept = (-1, None)  # (run, W' of it)
-
-    def factors(k):
-        nonlocal kept
-        runs = run_of[k]
-        parts = [kept[1][None]] if runs[0] == kept[0] else []
-        fresh = starts[runs[0] + len(parts):runs[-1] + 1]
-        if fresh.size:
-            parts.append(weight_factors(weights[fresh]).mT)
-        Wt = np.concatenate(parts)
-        kept = (runs[-1], Wt[-1])
-        # W' stays C-contiguous, so each W keeps the layout of cholesky(S).T.
-        return Wt[runs - runs[0]].mT
-
-    return factors
-
-
 def _step_products(model: DescriptorModel):
     """Each step's :class:`_Products`, in order, one object for a run of
     steps none of whose matrices F_k, C_{k-1}, H_k, S_k, R_k changes.  The
     steps with a change are taken in blocks of at most _STACK_ELEMENTS
     product elements through :func:`_stacked_products`, and each run of
-    equal weights is factored once.  One block's products are held at a
-    time; only the HtR and R that links keep outlive it."""
+    equal weights is factored once, in one stacked call per weight field
+    (``model.per_run``).  One block's products are held at a time; only
+    the HtR and R that links keep outlive it."""
     changes = np.array([step_changes(model.F), np.insert(step_changes(model.C), 0, True),
                         step_changes(model.H), step_changes(model.S), step_changes(model.R)])
     new = np.flatnonzero(changes.any(axis=0))
     counts = np.diff(new, append=model.tau + 1).tolist()
-    factors = _run_factors(model.S, changes[3]), _run_factors(model.R, changes[4])
+    # W' of each weight run, C-contiguous, so each W keeps the layout of cholesky(S).T.
+    Wt, run_S = per_run(lambda S: weight_factors(S).mT, model.S)
+    Qt, run_R = per_run(lambda R: weight_factors(R).mT, model.R)
     m, n, p = model.m, model.n, model.p
     size = max(1, _STACK_ELEMENTS // (m * (m + 2 * n) + p * (p + 2 * n)))
     for at in range(0, new.size, size):
         k = new[at:at + size]
-        block = _stacked_products(model, k, *(of(k) for of in factors))
+        block = _stacked_products(model, k, Wt[run_S[k]].mT, Qt[run_R[k]].mT)
         for i, count in enumerate(counts[at:at + size]):
             prod = _Products(*(a[i] for a in block))
             for _ in range(count):

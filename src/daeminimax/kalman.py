@@ -9,9 +9,10 @@ zero throughout.
 
 :func:`run_kalman` does the work that depends on the model alone once,
 in stacked calls, before the recursion: regularity, inv(S_k) and
-H_k'R_k H_k once per run of equal matrices, and H_k'R_k y_k.  Its loop
-keeps only the work that depends on P.  :func:`kalman_init` and
-:func:`kalman_step` form the same terms for their one step and go
+H_k'R_k H_k once per run of equal matrices (``model.per_run``), and
+H_k'R_k y_k.  Its loop keeps only the work that depends on P.
+:func:`kalman_init` and :func:`kalman_step` form the same terms for
+their one step, regularity included (on a one-step slice), and go
 through the same arithmetic, so the two routes agree bit for bit.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
 from .linalg import as_rows, numerical_rank, symmetrize
-from .model import DescriptorModel, step_changes, step_runs
+from .model import DescriptorModel, per_run, step_changes, step_runs
 
 __all__ = ["KalmanState", "check_regularity", "kalman_init", "kalman_step", "run_kalman"]
 
@@ -37,20 +38,21 @@ class KalmanState:
     x: np.ndarray
 
 
-def _rank(model: DescriptorModel, k: int, rank_tol: float) -> int:
-    return numerical_rank(np.vstack([model.F[k], model.H[k]]), rank_tol)
+def _ranks(F: np.ndarray, H: np.ndarray, rank_tol: float) -> np.ndarray:
+    """rank [F_k; H_k] of each step of the stacks F and H, in one stacked call."""
+    return numerical_rank(np.concatenate((F, H), axis=1), rank_tol)
 
 
 def check_regularity(model: DescriptorModel, rank_tol: float = 0.0) -> list:
     """Per-step regularity flags: rank [F_k; H_k] == n for k = 0..tau,
-    decided once per run of equal (F_k, H_k), in one stacked call."""
-    starts = np.flatnonzero(step_changes(model.F) | step_changes(model.H))
-    ranks = numerical_rank(np.concatenate((model.F[starts], model.H[starts]), axis=1), rank_tol)
-    return np.repeat(ranks == model.n, np.diff(starts, append=model.tau + 1)).tolist()
+    decided once per run of equal (F_k, H_k) (``model.per_run``)."""
+    ranks, run_of = per_run(lambda F, H: _ranks(F, H, rank_tol), model.F, model.H)
+    return (ranks == model.n)[run_of].tolist()
 
 
 def _require_regular(model: DescriptorModel, k: int, rank_tol: float) -> None:
-    if (rank := _rank(model, k, rank_tol)) < model.n:
+    """The decision of :func:`check_regularity` on the one-step slice of step k."""
+    if (rank := int(_ranks(model.F[k:k + 1], model.H[k:k + 1], rank_tol)[0])) < model.n:
         raise SingularMatrix(
             f"step {k}: rank [F_k; H_k] = {rank} < n = {model.n}, model not regular"
         )
@@ -63,35 +65,35 @@ def _inv(mat: np.ndarray, what: str) -> np.ndarray:
         raise SingularMatrix(f"{what} is numerically singular") from exc
 
 
-def _transition_inverses(S: np.ndarray) -> np.ndarray:
-    """inv(S_k) for k = 1..tau, one stacked call over the runs of equal
-    S_k; a singular weight raises SingularMatrix naming its run."""
-    changes = step_changes(S)
-    changes[1:2] = True  # S_0 is not inverted: step 0 is a run of its own
-    starts = np.flatnonzero(changes)[1:]
+def _transition_inverses(S: np.ndarray) -> tuple:
+    """``model.per_run`` of inv over S_1..S_tau: inv(S_k) is
+    ``inverses[run_of[k - 1]]``.  A singular weight raises SingularMatrix
+    naming its run."""
     try:
-        inverses = np.linalg.inv(S[starts])
+        return per_run(np.linalg.inv, S[1:])
     except np.linalg.LinAlgError:
-        for (_, run), weight in zip(step_runs(changes)[1:], S[starts]):
-            _inv(weight, f"S_{run}")
+        # S_0 is not inverted: step 0 is a run of its own.
+        for k, run in step_runs(np.insert(step_changes(S[1:]), 0, True))[1:]:
+            _inv(S[k], f"S_{run}")
         raise
-    return inverses[np.cumsum(changes[1:]) - 1]
 
 
 def _first(F: np.ndarray, S: np.ndarray, HtRH: np.ndarray, HtRy: np.ndarray) -> KalmanState:
     """The filtered state at k = 0 from step 0's terms H_0'R_0 H_0 and H_0'R_0 y_0."""
     P = _inv(symmetrize(F.T @ S @ F + HtRH), "information matrix at k=0")
-    return KalmanState(k=0, P=symmetrize(P), x=P @ HtRy)
+    return KalmanState(k=0, P=0.5 * (P + P.T), x=P @ HtRy)
 
 
 def _advance(state: KalmanState, F: np.ndarray, C: np.ndarray, S_inv: np.ndarray,
              HtRH: np.ndarray, HtRy: np.ndarray) -> KalmanState:
     """One step of :func:`kalman_step` from the model's terms of step k:
-    F_k, C_{k-1}, inv(S_k), H_k'R_k H_k and H_k'R_k y_k."""
+    F_k, C_{k-1}, inv(S_k), H_k'R_k H_k and H_k'R_k y_k.  Only F'AF + H'RH
+    goes through ``linalg.symmetrize``, which warns of a large skew."""
     k = state.k + 1
-    A = _inv(symmetrize(S_inv + C @ state.P @ C.T), f"gain matrix at k={k}")
+    gain = S_inv + C @ state.P @ C.T
+    A = _inv(0.5 * (gain + gain.T), f"gain matrix at k={k}")
     P = _inv(symmetrize(F.T @ A @ F + HtRH), f"information matrix at k={k}")
-    P = symmetrize(P)
+    P = 0.5 * (P + P.T)
     return KalmanState(k=k, P=P, x=P @ (F.T @ (A @ (C @ state.x)) + HtRy))
 
 
@@ -139,13 +141,11 @@ def run_kalman(model: DescriptorModel, ys, rank_tol: float = 0.0) -> list:
     if not all(flags):
         bad = ", ".join(run for k, run in step_runs(step_changes(flags)) if not flags[k])
         raise SingularMatrix(f"regularity violated at steps [{bad}]: rank [F_k; H_k] < n")
-    S_inv = _transition_inverses(model.S)
-    runs = step_changes(model.H) | step_changes(model.R)
-    H, R = model.H[runs], model.R[runs]
-    HtRH = (H.mT @ R @ H)[np.cumsum(runs) - 1]
+    S_inv, run_S = _transition_inverses(model.S)
+    HtRH, run_HR = per_run(lambda H, R: H.mT @ R @ H, model.H, model.R)
     HtRy = np.matvec(model.H.mT, np.matvec(model.R, ys))
-    states = [_first(model.F[0], model.S[0], HtRH[0], HtRy[0])]
+    states = [_first(model.F[0], model.S[0], HtRH[run_HR[0]], HtRy[0])]
     for k in range(1, model.tau + 1):
-        states.append(_advance(states[-1], model.F[k], model.C[k - 1], S_inv[k - 1],
-                               HtRH[k], HtRy[k]))
+        states.append(_advance(states[-1], model.F[k], model.C[k - 1], S_inv[run_S[k - 1]],
+                               HtRH[run_HR[k]], HtRy[k]))
     return states

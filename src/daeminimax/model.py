@@ -13,6 +13,8 @@ budget  sum_k (<S_k f_k, f_k> + <R_k g_k, g_k>) <= 1.
 F need not be square or invertible, so the recursion may pin down only
 part of the next state; simulation takes an explicit free component to
 select one trajectory out of the affine solution set at each step.
+Work that depends on the model alone is done once per run of equal
+steps (:func:`per_run`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "DescriptorModel",
     "matrix_sequence",
     "step_changes",
+    "per_run",
     "step_runs",
     "Trajectory",
     "ValidationReport",
@@ -92,6 +95,16 @@ def step_changes(seq) -> np.ndarray:
         bits = seq.view(f"u{seq.itemsize}")
         changes[1:] = np.any(bits[1:] != bits[:-1], axis=tuple(range(1, seq.ndim)))
     return changes
+
+
+def per_run(fn, *fields) -> tuple:
+    """``(values, run_of)``: ``fn`` applied in one call to the first step of
+    every run of steps on which none of the per-step ``fields`` changes
+    (:func:`step_changes`), and ``run_of``, the index into ``values`` of
+    each step's run, so ``values[run_of[k]]`` is step k's value."""
+    changes = np.logical_or.reduce([step_changes(seq) for seq in fields])
+    starts = np.flatnonzero(changes)
+    return fn(*(seq[starts] for seq in fields)), np.cumsum(changes) - 1
 
 
 def step_runs(changes) -> list:
@@ -237,11 +250,11 @@ def validate(model: DescriptorModel) -> ValidationReport:
                   for name, seq, count, _, _ in fields if len(seq) != count)
     for name, seq, _, shape, weight in fields:
         changes = step_changes(seq)
-        per_run = _issues(seq[changes], shape, weight)
-        if any(per_run):
+        found = _issues(seq[changes], shape, weight)
+        if any(found):
             # Only a field with an issue walks its runs of steps.
             issues.extend(f"{name}_{run} {issue}"
-                          for (_, run), issue in zip(step_runs(changes), per_run) if issue)
+                          for (_, run), issue in zip(step_runs(changes), found) if issue)
     return ValidationReport(issues=tuple(issues))
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import linecache
 import math
 import warnings
 
@@ -496,10 +497,10 @@ def test_compare_batch_assembles_once_and_solves_each_horizon(tmp_path, capsys, 
     assert len(capsys.readouterr().out.splitlines()) == tau + 3
 
 
-def test_compare_batch_takes_a_weight_cholesky_rejects(tmp_path, capsys):
-    # validate accepts S (smallest eigenvalue 7.5e-17), and estimate and
-    # compare --mode kalman exit 0 on it; compare --mode batch ended in a
-    # LinAlgError traceback before the oracle took its eigen-factor.
+@pytest.fixture
+def rejected_setup(tmp_path, capsys):
+    """A spec whose constant S validate accepts (smallest eigenvalue
+    7.5e-17) but Cholesky rejects, and its simulated trajectory."""
     doc = {"n": 3, "m": 3, "p": 1, "tau": 3, "F": np.eye(3).tolist(), "C": np.eye(3).tolist(),
            "H": [[1.0, 0.0, 0.0]], "S": CHOLESKY_REJECTED_WEIGHT.tolist(), "R": [[1.0]],
            "f": ["0.1 if k == 0 else 0.0", "0.0", "0.0"], "g": ["0.01 * k"]}
@@ -507,10 +508,30 @@ def test_compare_batch_takes_a_weight_cholesky_rejects(tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     assert cli.main(["simulate", "--spec", spec, "--out", str(traj)]) == 0
     capsys.readouterr()
-    rc = cli.main(["compare", "--spec", spec, "--measurements", str(traj), "--mode", "batch"])
+    return spec, str(traj)
+
+
+def test_compare_batch_takes_a_weight_cholesky_rejects(rejected_setup, capsys):
+    # estimate and compare --mode kalman exit 0 on this weight; compare
+    # --mode batch ended in a LinAlgError traceback before the oracle took
+    # its eigen-factor.
+    spec, traj = rejected_setup
+    rc = cli.main(["compare", "--spec", spec, "--measurements", traj, "--mode", "batch"])
     captured = capsys.readouterr()
     assert rc == 0 and captured.err == ""
     assert float(captured.out.splitlines()[-1].split(",")[1]) <= cli.COMPARE_TOL
+
+
+def test_compare_kalman_warns_of_the_skew_of_f_a_f_on_a_weight_cholesky_rejects(
+        rejected_setup, capsys):
+    # inv(S_k) has entries near 1e16, so F'AF + H'RH is skewed by about 1e-2
+    # relative: the warning comes from that line, and from no other.
+    spec, traj = rejected_setup
+    with pytest.warns(errors.AsymmetryWarning) as record:
+        rc = cli.main(["compare", "--spec", spec, "--measurements", traj, "--mode", "kalman"])
+    assert rc == 0
+    lines = {linecache.getline(w.filename, w.lineno).strip() for w in record}
+    assert lines == {'P = _inv(symmetrize(F.T @ A @ F + HtRH), f"information matrix at k={k}")'}
 
 
 def test_compare_absurd_rank_tol_exits_1(tmp_path, capsys):

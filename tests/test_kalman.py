@@ -51,6 +51,27 @@ def test_check_regularity_follows_runs_of_f_and_h():
     assert kalman.check_regularity(model) == [k not in (0, 2, 5) for k in range(7)]
 
 
+def test_kalman_steps_decide_regularity_as_check_regularity_does():
+    # At steps 0, 2 and 5 the second column of F_k and H_k is zero, so
+    # rank [F_k; H_k] = 1 < n = 2 there; the other steps are generic.
+    rng = np.random.default_rng(67)
+    F, H = rng.normal(size=(2, 7, 1, 2))
+    F[[0, 2, 5], :, 1] = H[[0, 2, 5], :, 1] = 0.0
+    one = [[[1.0]]] * 7
+    model = DescriptorModel.from_sequences(F, rng.normal(size=(6, 1, 2)), H, one, one)
+    flags = kalman.check_regularity(model)
+    assert flags == [k not in (0, 2, 5) for k in range(7)]
+    for k, regular in enumerate(flags):
+        state = kalman.KalmanState(k=k - 1, P=np.eye(2), x=np.zeros(2))
+        try:
+            kalman.kalman_step(state, model, [0.0]) if k else kalman.kalman_init(model, [0.0])
+        except SingularMatrix as exc:
+            assert not regular
+            assert str(exc) == f"step {k}: rank [F_k; H_k] = 1 < n = 2, model not regular"
+        else:
+            assert regular
+
+
 def test_kalman_init_worked_values():
     state = kalman.kalman_init(scalar_chain(1), np.array([1.0]))
     assert state.k == 0

@@ -11,6 +11,7 @@ from daeminimax.model import (
     DescriptorModel,
     augment_ode,
     budget,
+    per_run,
     simulate,
     step_changes,
     step_runs,
@@ -195,6 +196,31 @@ def test_step_runs_names_single_steps_and_ranges():
     assert step_runs(step_changes(np.ones(2001))) == [(0, "0..2000")]
     assert step_runs([True, True]) == [(0, "0"), (1, "1")]
     assert step_runs([]) == []
+
+
+@pytest.mark.parametrize("kind", ["constant", "time-varying", "switch-and-back", "two fields"])
+def test_per_run_matches_each_step_bit_for_bit(kind):
+    rng = np.random.default_rng(66)
+    a, b = rng.normal(size=(2, 3, 3))
+    fields, starts = {
+        "constant": ((np.broadcast_to(a, (6, 3, 3)),), [0]),
+        "time-varying": ((rng.normal(size=(6, 3, 3)),), [0, 1, 2, 3, 4, 5]),
+        "switch-and-back": ((np.stack([a, a, b, b, b, a]),), [0, 2, 5]),
+        # A run ends where either field changes.
+        "two fields": ((np.stack([a, a, b, b, b, a]), np.stack([b, b, b, a, a, a])), [0, 2, 3, 5]),
+    }[kind]
+    calls = []
+
+    def fn(*stacks):
+        calls.append(len(stacks[0]))
+        return sum(np.linalg.inv(mats) @ mats.mT for mats in stacks)
+
+    values, run_of = per_run(fn, *fields)
+    assert calls == [len(starts)]
+    assert np.flatnonzero(np.diff(run_of, prepend=-1)).tolist() == starts
+    for k in range(6):
+        alone = fn(*(field[k:k + 1] for field in fields))[0]
+        assert values[run_of[k]].tobytes() == alone.tobytes()
 
 
 def test_simulate_rejects_inconsistent_dynamics():
