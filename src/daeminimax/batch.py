@@ -83,9 +83,9 @@ class BatchSolution:
 
 
 def _factors(weights: np.ndarray) -> np.ndarray:
-    """``linalg.weight_factors`` of every step's weight, each run of equal
-    weights factored once (``model.per_run``)."""
-    factors, run_of = per_run(weight_factors, weights)
+    """The factor from ``linalg.weight_factors`` of every step's weight,
+    each run of equal weights factored once (``model.per_run``)."""
+    (factors, _), run_of = per_run(weight_factors, weights)
     return factors[run_of]
 
 

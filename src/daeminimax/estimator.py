@@ -251,7 +251,8 @@ def _stacked_products(model: DescriptorModel, k: np.ndarray, W: np.ndarray,
 def _products(model: DescriptorModel, k: int) -> _Products:
     """Step k's products: :func:`_stacked_products` on a stack of one step."""
     at = np.array([k])
-    stack = _stacked_products(model, at, weight_factors(model.S[at]), weight_factors(model.R[at]))
+    stack = _stacked_products(model, at, weight_factors(model.S[at])[0],
+                              weight_factors(model.R[at])[0])
     return _Products(*(a[0] for a in stack))
 
 
@@ -268,8 +269,8 @@ def _step_products(model: DescriptorModel):
     new = np.flatnonzero(changes.any(axis=0))
     counts = np.diff(new, append=model.tau + 1).tolist()
     # W' of each weight run, C-contiguous, so each W keeps the layout of cholesky(S).T.
-    Wt, run_S = per_run(lambda S: weight_factors(S).mT, model.S)
-    Qt, run_R = per_run(lambda R: weight_factors(R).mT, model.R)
+    Wt, run_S = per_run(lambda S: weight_factors(S)[0].mT, model.S)
+    Qt, run_R = per_run(lambda R: weight_factors(R)[0].mT, model.R)
     m, n, p = model.m, model.n, model.p
     size = max(1, _STACK_ELEMENTS // (m * (m + 2 * n) + p * (p + 2 * n)))
     for at in range(0, new.size, size):

@@ -191,7 +191,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
@@ -238,7 +238,7 @@ def read_table(path):
                     rows.append([float(cell) for cell in row])
                 except ValueError as exc:
                     raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return header, rows
 
@@ -247,9 +247,9 @@ def measurement_rows(path, model: DescriptorModel) -> np.ndarray:
     """Extract the measurement block y_0..y_tau from a CSV table.
 
     Accepts either a plain measurement table (columns k, y0..y{p-1}) or a
-    full trajectory table; columns are matched by name, falling back to
-    "the p columns after k" when no y-columns are named.  Rows must cover
-    k = 0..tau exactly, with integral k and finite measurements.
+    full trajectory table; the y-columns must be named exactly y0..y{p-1},
+    in any order, and with none named "the p columns after k" are taken.
+    Rows must cover k = 0..tau exactly, with integral k and finite measurements.
     """
     header, rows = read_table(path)
     if "k" not in header:
@@ -259,11 +259,15 @@ def measurement_rows(path, model: DescriptorModel) -> np.ndarray:
         i for i, name in enumerate(header) if name.startswith("y") and name[1:].isdigit()
     ]
     if y_cols:
-        y_cols.sort(key=lambda i: int(header[i][1:]))
         if len(y_cols) != model.p:
             raise ParseError(
                 f"{path}: found {len(y_cols)} y-columns, model has p = {model.p}"
             )
+        names = [f"y{i}" for i in range(model.p)]
+        if {header[i] for i in y_cols} != set(names):
+            raise ParseError(f"{path}: y-columns {[header[i] for i in y_cols]} are not "
+                             f"y0..y{model.p - 1}")
+        y_cols = [header.index(name) for name in names]
     else:
         y_cols = list(range(k_col + 1, k_col + 1 + model.p))
         if len(header) < k_col + 1 + model.p:

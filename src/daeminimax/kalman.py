@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
-from .linalg import as_rows, numerical_rank, symmetrize
+from .linalg import as_rows, numerical_rank, symmetrize, weight_factors
 from .model import DescriptorModel, per_run, step_changes, step_runs
 
 __all__ = ["KalmanState", "check_regularity", "kalman_init", "kalman_step", "run_kalman"]
@@ -65,17 +65,27 @@ def _inv(mat: np.ndarray, what: str) -> np.ndarray:
         raise SingularMatrix(f"{what} is numerically singular") from exc
 
 
-def _transition_inverses(S: np.ndarray) -> tuple:
-    """``model.per_run`` of inv over S_1..S_tau: inv(S_k) is
-    ``inverses[run_of[k - 1]]``.  A singular weight raises SingularMatrix
-    naming its run."""
+def _weight_inverses(S: np.ndarray, first: int) -> tuple:
+    """``model.per_run`` of inv over S_first..S_tau: inv(S_k) is
+    ``inverses[run_of[k - first]]``.  A weight ``linalg.weight_factors``
+    rejects raises SingularMatrix naming its run; an accepted one on which
+    LU meets an exact zero pivot takes inv(W) inv(W)', W'W = S_k."""
+    (W, accepted, starts), run_of = per_run(lambda S: (*weight_factors(S), S), S[first:])
+    if not accepted.all():
+        runs = step_runs(np.insert(step_changes(S[first:]), 0, np.ones(first, bool)))[first:]
+        raise SingularMatrix(f"S_{runs[accepted.argmin()][1]} is numerically singular")
     try:
-        return per_run(np.linalg.inv, S[1:])
+        return np.linalg.inv(starts), run_of
     except np.linalg.LinAlgError:
-        # S_0 is not inverted: step 0 is a run of its own.
-        for k, run in step_runs(np.insert(step_changes(S[1:]), 0, True))[1:]:
-            _inv(S[k], f"S_{run}")
-        raise
+        pass
+    inverses = np.empty_like(starts)
+    for i, (weight, factor) in enumerate(zip(starts, W)):
+        try:
+            inverses[i] = np.linalg.inv(weight)
+        except np.linalg.LinAlgError:
+            root = np.linalg.inv(factor)
+            inverses[i] = root @ root.T
+    return inverses, run_of
 
 
 def _first(F: np.ndarray, S: np.ndarray, HtRH: np.ndarray, HtRy: np.ndarray) -> KalmanState:
@@ -120,10 +130,10 @@ def kalman_step(state: KalmanState, model: DescriptorModel, y, rank_tol: float =
     if k > model.tau:
         raise DimensionMismatch(f"step {k} is beyond the model horizon {model.tau}")
     _require_regular(model, k, rank_tol)
+    S_inv = _weight_inverses(model.S[:k + 1], k)[0][0]
     y = as_rows(y, 1, model.p, f"y_{k}")[0]
     H, R = model.H[k], model.R[k]
-    return _advance(state, model.F[k], model.C[k - 1], _inv(model.S[k], f"S_{k}"),
-                    H.T @ R @ H, H.T @ (R @ y))
+    return _advance(state, model.F[k], model.C[k - 1], S_inv, H.T @ R @ H, H.T @ (R @ y))
 
 
 def run_kalman(model: DescriptorModel, ys, rank_tol: float = 0.0) -> list:
@@ -132,16 +142,17 @@ def run_kalman(model: DescriptorModel, ys, rank_tol: float = 0.0) -> list:
     The work that depends on the model alone comes first, in stacked
     calls: regularity, from :func:`check_regularity` (a model irregular at
     any step raises SingularMatrix naming the runs of irregular steps);
-    inv(S_k) once per run of equal S_k; H_k'R_k H_k once per run of equal
-    (H_k, R_k); and H_k'R_k y_k.  The loop then does only the work that
-    depends on P, through the arithmetic of :func:`kalman_step`.
+    inv(S_k) once per run of equal S_k, refusing a weight Cholesky rejects;
+    H_k'R_k H_k once per run of equal (H_k, R_k); and H_k'R_k y_k.  The
+    loop then does only the work that depends on P, through the arithmetic
+    of :func:`kalman_step`.
     """
     ys = as_rows(ys, model.tau + 1, model.p, "measurements")
     flags = check_regularity(model, rank_tol)
     if not all(flags):
         bad = ", ".join(run for k, run in step_runs(step_changes(flags)) if not flags[k])
         raise SingularMatrix(f"regularity violated at steps [{bad}]: rank [F_k; H_k] < n")
-    S_inv, run_S = _transition_inverses(model.S)
+    S_inv, run_S = _weight_inverses(model.S, 1)
     HtRH, run_HR = per_run(lambda H, R: H.mT @ R @ H, model.H, model.R)
     HtRy = np.matvec(model.H.mT, np.matvec(model.R, ys))
     states = [_first(model.F[0], model.S[0], HtRH[run_HR[0]], HtRy[0])]

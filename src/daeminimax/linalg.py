@@ -107,26 +107,28 @@ def factor_cutoff(rank_tol: float, n: int) -> float:
     return math.sqrt(relative_cutoff(rank_tol, (n, n)))
 
 
-def kept_count(s: np.ndarray, cut: float) -> int:
-    """How many of the descending singular values ``s`` lie above
-    ``cut * s[0]`` (0 when ``s`` is empty)."""
-    return int(np.count_nonzero(s > cut * s[0])) if s.size else 0
+def kept_count(s: np.ndarray, cut: float):
+    """How many of the descending singular values ``s`` lie above ``cut * s[0]``
+    (0 when ``s`` is empty): an int, or an int array for a stack of them."""
+    kept = (s > cut * s[..., :1]).sum(axis=-1)
+    return int(kept) if s.ndim == 1 else kept
 
 
-def weight_factors(S: np.ndarray) -> np.ndarray:
-    """W with W'W = S for each matrix of a (T, m, m) stack of symmetric
-    weights: the transposed Cholesky factor, or, for a weight that is not
-    numerically definite, diag(sqrt(clipped eigenvalues)) V' from its
-    eigenpairs.
+def weight_factors(S: np.ndarray) -> tuple:
+    """``(W, accepted)`` for a (T, m, m) stack of symmetric weights: W'W = S
+    for each matrix, and whether Cholesky accepted it, the package's one
+    test that a weight is positive definite.  W is the transposed Cholesky
+    factor, or diag(sqrt(clipped eigenvalues)) V' for a rejected weight.
 
     One stacked Cholesky call; it raises when any matrix fails, and then
     each matrix is factored alone, so only those that fail take the
-    eigen-factor.  The result is the transposed view of a C-contiguous
-    stack of W', the layout of ``cholesky(S_i).T``, so products with it
-    make the BLAS calls of a single matrix's factor.
+    eigen-factor.  W is the transposed view of a C-contiguous stack of W',
+    the layout of ``cholesky(S_i).T``, so products with it make the BLAS
+    calls of a single matrix's factor.
     """
+    accepted = np.ones(len(S), dtype=bool)
     try:
-        return np.linalg.cholesky(S).mT
+        return np.linalg.cholesky(S).mT, accepted
     except np.linalg.LinAlgError:
         pass
     Wt = np.empty_like(S)
@@ -134,9 +136,10 @@ def weight_factors(S: np.ndarray) -> np.ndarray:
         try:
             Wt[i] = np.linalg.cholesky(weight)
         except np.linalg.LinAlgError:
+            accepted[i] = False
             eigs, vecs = np.linalg.eigh(weight)
             Wt[i] = vecs * np.sqrt(np.clip(eigs, 0.0, None))
-    return Wt.mT
+    return Wt.mT, accepted
 
 
 def pinv(a, rank_tol: float = 0.0) -> np.ndarray:
@@ -169,11 +172,7 @@ def numerical_rank(a, rank_tol: float = 0.0):
     for a matrix, an int array for a (T, rows, cols) stack of finite
     matrices, decided in one stacked call with each matrix's own cutoff."""
     m = np.asarray(a, dtype=float) if np.ndim(a) == 3 else as_matrix(a)
-    s = np.linalg.svd(m, compute_uv=False)
-    cut = relative_cutoff(rank_tol, m.shape[-2:])
-    if m.ndim == 2:
-        return kept_count(s, cut)
-    return np.count_nonzero(s > cut * s[:, :1], axis=1)
+    return kept_count(np.linalg.svd(m, compute_uv=False), relative_cutoff(rank_tol, m.shape[-2:]))
 
 
 def sym_rank(a, rank_tol: float = 0.0) -> int:

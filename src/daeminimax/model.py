@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentDynamics
-from .linalg import as_rows, pinv, qform
+from .linalg import as_rows, pinv, qform, weight_factors
 
 __all__ = [
     "SIM_RESIDUAL_TOL",
@@ -218,11 +218,11 @@ def _issues(mats, shape, weight: bool) -> list:
         skew = np.abs(half - half.mT).max(axis=(1, 2), initial=0.0) > 1e-12 * scale
         for i in at[skew].tolist():
             found[i] = "not symmetric"
-        at, half = at[~skew], half[~skew]
-        smallest = np.linalg.eigvalsh(half + half.mT).min(axis=1, initial=np.inf)
-        for i, value in zip(at.tolist(), smallest.tolist()):
-            if value <= 0.0:
-                found[i] = f"not positive definite (min eigenvalue {value:.3g})"
+        at = at[~skew]
+        # linalg.weight_factors decides; an eigenvalue only words a rejection.
+        for i in at[~weight_factors(mats[at])[1]].tolist():
+            value = np.linalg.eigvalsh(0.5 * mats[i] + 0.5 * mats[i].T)[0]
+            found[i] = f"not positive definite (min eigenvalue {value:.3g})"
     return found
 
 

@@ -29,12 +29,20 @@ from daeminimax.model import DescriptorModel, budget
 GRAY_CUTOFF_MARGIN = 0.05
 GRAY_HIGH = 1e-5
 
-# A weight that validate accepts (smallest eigenvalue 7.5e-17) but Cholesky
-# rejects, so it takes the eigen-factor of ``linalg.weight_factors``.
+# A weight that Cholesky rejects although its smallest eigenvalue is
+# 7.5e-17 > 0: validate refuses it, and a library call on an unvalidated
+# model takes the eigen-factor of ``linalg.weight_factors``.
 CHOLESKY_REJECTED_WEIGHT = np.array([
     [0.6775286921397962, 0.0645164888856857, -1.2707611296467278],
     [0.0645164888856857, 0.07602325651304703, -0.26691964495471],
     [-1.2707611296467278, -0.26691964495471, 2.688095002762758]])
+
+# A weight that Cholesky accepts (smallest eigenvalue 7.5e-18) but on
+# which the LU factorization of ``np.linalg.inv`` meets an exact zero pivot.
+LU_SINGULAR_WEIGHT = np.array([
+    [0.03646453603287805, -0.18060460125770547, -0.05016821415248019],
+    [-0.18060460125770547, 0.8945136086894162, 0.24847734416383754],
+    [-0.05016821415248019, 0.24847734416383754, 0.06902185843998357]])
 
 
 def random_psd_weight(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -171,8 +171,9 @@ def test_leading_blocks_are_the_truncated_problem():
 
 
 def test_solve_takes_the_eigen_factor_of_a_weight_cholesky_rejects():
-    # validate accepts this weight, whose dense block-diagonal Cholesky
-    # factor used to end the solve in a LinAlgError.
+    # validate refuses this weight, but the library takes it unvalidated:
+    # its dense block-diagonal Cholesky factor used to end the solve in a
+    # LinAlgError.
     eye = np.eye(3)
     model = DescriptorModel.constant(eye, eye, [[1.0, 0.0, 0.0]], CHOLESKY_REJECTED_WEIGHT,
                                      [[1.0]], tau=3)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import linecache
 import math
 import warnings
 
@@ -272,6 +271,47 @@ def test_simulate_applies_rank_tol_to_its_pseudoinverse(tmp_path, capsys, rank_t
     assert ("residual" in capsys.readouterr().err) == (code == 3)
 
 
+# A 3-state model whose constant S Cholesky rejects (smallest eigenvalue
+# 7.5e-17), over the horizon of the document it overrides.
+REJECTED_DOC = {"n": 3, "m": 3, "p": 1, "F": np.eye(3).tolist(), "C": np.eye(3).tolist(),
+                "H": [[1.0, 0.0, 0.0]], "S": CHOLESKY_REJECTED_WEIGHT.tolist(), "R": [[1.0]],
+                "f": None, "g": None, "w": None}
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--out", "traj.csv"], ["estimate", "--out", "est.csv"], ["observability"],
+    ["compare", "--mode", "batch"], ["compare", "--mode", "kalman"],
+], ids=["simulate", "estimate", "observability", "compare-batch", "compare-kalman"])
+def test_every_command_refuses_a_weight_cholesky_rejects(tmp_path, capsys, command, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    spec = write_json(tmp_path / "model.json", dict(scalar_doc(tau=3), **REJECTED_DOC))
+    write_table(tmp_path / "ys.csv", ["k", "y0"], [[k, 0.0] for k in range(4)])
+    data = [] if command[0] in ("simulate", "observability") else ["--measurements", "ys.csv"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", errors.AsymmetryWarning)
+        rc = cli.main(command[:1] + ["--spec", spec] + data + command[1:])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: {spec}: invalid model: S_0..3 not positive "
+                                       "definite (min eigenvalue 7.48e-17)\n")
+
+
+@pytest.mark.parametrize("args, body", [
+    (["observability", "--spec", "model.json"], None),
+    (["estimate", "--spec", "model.json", "--measurements", "ys.csv", "--out", "est.csv"],
+     "k,y0\n0,1.0\n"),
+], ids=["spec", "measurements"])
+def test_undecodable_file_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, args, body):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "model.json", scalar_doc(tau=0))
+    bad = tmp_path / ("model.json" if body is None else "ys.csv")
+    bad.write_bytes((body or json.dumps(scalar_doc(tau=0))).encode() + b"\xff\n")
+    rc = cli.main(args)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {bad.name}: ") and err.count("\n") == 1
+    assert "can't decode byte 0xff" in err
+
+
 def test_malformed_json_exits_2_with_line(tmp_path, capsys):
     spec = tmp_path / "broken.json"
     spec.write_text('{\n "n": 1,\n}\n')
@@ -285,7 +325,8 @@ def test_malformed_json_exits_2_with_line(tmp_path, capsys):
     ({"F": [[10**400, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]},
      "field 'F': an entry is beyond the float range"),
     ({"S": [[1.0, 1e308], [1e308, 1.0]]}, "S_0..5 not positive definite"),
-], ids=["huge-tau", "huge-entry", "indefinite-huge-weight"])
+    (REJECTED_DOC, "S_0..5 not positive definite (min eigenvalue 7.48e-17)"),
+], ids=["huge-tau", "huge-entry", "indefinite-huge-weight", "cholesky-rejected-weight"])
 def test_malformed_document_exits_2_with_one_error_line(tmp_path, capsys, override, message):
     # pytest turns a RuntimeWarning into an error, so an overflow fails here.
     spec = write_json(tmp_path / "model.json", dict(demo.model_document(5), **override))
@@ -495,43 +536,6 @@ def test_compare_batch_assembles_once_and_solves_each_horizon(tmp_path, capsys, 
     assert rc == 0
     assert calls == ["assemble", 0, 1, 2, 3, 4]
     assert len(capsys.readouterr().out.splitlines()) == tau + 3
-
-
-@pytest.fixture
-def rejected_setup(tmp_path, capsys):
-    """A spec whose constant S validate accepts (smallest eigenvalue
-    7.5e-17) but Cholesky rejects, and its simulated trajectory."""
-    doc = {"n": 3, "m": 3, "p": 1, "tau": 3, "F": np.eye(3).tolist(), "C": np.eye(3).tolist(),
-           "H": [[1.0, 0.0, 0.0]], "S": CHOLESKY_REJECTED_WEIGHT.tolist(), "R": [[1.0]],
-           "f": ["0.1 if k == 0 else 0.0", "0.0", "0.0"], "g": ["0.01 * k"]}
-    spec = write_json(tmp_path / "model.json", doc)
-    traj = tmp_path / "traj.csv"
-    assert cli.main(["simulate", "--spec", spec, "--out", str(traj)]) == 0
-    capsys.readouterr()
-    return spec, str(traj)
-
-
-def test_compare_batch_takes_a_weight_cholesky_rejects(rejected_setup, capsys):
-    # estimate and compare --mode kalman exit 0 on this weight; compare
-    # --mode batch ended in a LinAlgError traceback before the oracle took
-    # its eigen-factor.
-    spec, traj = rejected_setup
-    rc = cli.main(["compare", "--spec", spec, "--measurements", traj, "--mode", "batch"])
-    captured = capsys.readouterr()
-    assert rc == 0 and captured.err == ""
-    assert float(captured.out.splitlines()[-1].split(",")[1]) <= cli.COMPARE_TOL
-
-
-def test_compare_kalman_warns_of_the_skew_of_f_a_f_on_a_weight_cholesky_rejects(
-        rejected_setup, capsys):
-    # inv(S_k) has entries near 1e16, so F'AF + H'RH is skewed by about 1e-2
-    # relative: the warning comes from that line, and from no other.
-    spec, traj = rejected_setup
-    with pytest.warns(errors.AsymmetryWarning) as record:
-        rc = cli.main(["compare", "--spec", spec, "--measurements", traj, "--mode", "kalman"])
-    assert rc == 0
-    lines = {linecache.getline(w.filename, w.lineno).strip() for w in record}
-    assert lines == {'P = _inv(symmetrize(F.T @ A @ F + HtRH), f"information matrix at k={k}")'}
 
 
 def test_compare_absurd_rank_tol_exits_1(tmp_path, capsys):

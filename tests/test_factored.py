@@ -114,6 +114,16 @@ def test_validate_checks_each_distinct_weight_once(factorizations):
     assert sum(factorizations.values()) == 2
 
 
+def test_validate_takes_an_eigenvalue_only_of_a_rejected_weight(factorizations):
+    model = random_model(np.random.default_rng(6), tau=20)
+    assert validate(model).ok
+    assert factorizations == Counter(cholesky=2)
+    bad = DescriptorModel.from_sequences(model.F, model.C, model.H, model.S,
+                                         [-Rk if k == 4 else Rk for k, Rk in enumerate(model.R)])
+    assert validate(bad).issues[0].startswith("R_4 not positive definite")
+    assert factorizations["eigvalsh"] == 1
+
+
 def test_validate_reports_a_shared_bad_weight_under_every_name():
     # One issue names the whole run of steps that holds the bad weight.
     one = np.array([[1.0]])

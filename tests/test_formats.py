@@ -234,6 +234,36 @@ def test_measurement_rows_wrong_y_count(tmp_path):
         formats.measurement_rows(path, model)
 
 
+def test_measurement_rows_reorders_y_columns_by_name(tmp_path):
+    model, _ = formats.load_model(dict(scalar_doc(tau=0), p=2, H=[[1.0], [1.0]],
+                                       R=[[1.0, 0.0], [0.0, 1.0]]))
+    path = tmp_path / "ys.csv"
+    formats.write_table(path, ["k", "y1", "y0"], [[0, 2.0, 1.0]])
+    assert formats.measurement_rows(path, model).tolist() == [[1.0, 2.0]]
+
+
+@pytest.mark.parametrize("header", [["k", "y0", "y0"], ["k", "y0", "y5"], ["k", "y00", "y1"]],
+                         ids=["repeated", "gap", "padded"])
+def test_measurement_rows_takes_only_the_names_y0_to_yp(tmp_path, header):
+    model, _ = formats.load_model(dict(scalar_doc(tau=0), p=2, H=[[1.0], [1.0]],
+                                       R=[[1.0, 0.0], [0.0, 1.0]]))
+    path = tmp_path / "ys.csv"
+    formats.write_table(path, header, [[0, 1.0, 2.0]])
+    with pytest.raises(ParseError) as info:
+        formats.measurement_rows(path, model)
+    assert str(info.value) == f"{path}: y-columns {header[1:]} are not y0..y1"
+
+
+def test_undecodable_files_raise_parse_error(tmp_path):
+    model, _ = formats.load_model(scalar_doc(tau=0))
+    path = tmp_path / "bad"
+    path.write_bytes(b'{"f": [[1.0]]}\xff')
+    for read in (formats.load_model_file, lambda p: formats.load_inputs_file(p, model),
+                 formats.read_table, lambda p: formats.measurement_rows(p, model)):
+        with pytest.raises(ParseError, match="can't decode byte 0xff"):
+            read(path)
+
+
 @pytest.mark.parametrize("body, message", [
     ("k,y0\n0,1.0\n1.7,1.0\n", "step index 1.7 is not an integer"),
     ("k,y0\n0,1.0\nnan,1.0\n", "step index nan is not an integer"),

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_measurements, random_regular_model
+from conftest import (CHOLESKY_REJECTED_WEIGHT, LU_SINGULAR_WEIGHT, random_measurements,
+                      random_regular_model)
 from daeminimax import batch, estimator, kalman
 from daeminimax.errors import DimensionMismatch, InvalidMatrix, SingularMatrix
-from daeminimax.linalg import pinv
-from daeminimax.model import DescriptorModel
+from daeminimax.linalg import pinv, weight_factors
+from daeminimax.model import DescriptorModel, validate
 
 
 def scalar_chain(tau=1):
@@ -194,3 +195,67 @@ def test_run_kalman_names_a_singular_transition_weight():
     state = kalman.kalman_step(kalman.kalman_init(model, [1.0]), model, [1.0])
     with pytest.raises(SingularMatrix, match=r"^S_2 is numerically singular$"):
         kalman.kalman_step(state, model, [1.0])
+
+
+def _weight_model(S):
+    """n = m = 3, p = 1, tau = 3, regular, with the constant weight S."""
+    eye = np.eye(3)
+    return DescriptorModel.constant(eye, eye, [[1.0, 0.0, 0.0]], S, [[1.0]], tau=3)
+
+
+def _kalman_refusals(model) -> list:
+    """Whether run_kalman and kalman_step, each, refuse S_1 of the model."""
+    calls = {"S_1..3": lambda: kalman.run_kalman(model, np.zeros((4, 1))),
+             "S_1": lambda: kalman.kalman_step(kalman.kalman_init(model, [0.0]), model, [0.0])}
+    refusals = []
+    for name, call in calls.items():
+        try:
+            call()
+        except SingularMatrix as exc:
+            refusals.append(str(exc) == f"{name} is numerically singular")
+        else:
+            refusals.append(False)
+    return refusals
+
+
+def test_kalman_refuses_the_weight_cholesky_rejects():
+    assert _kalman_refusals(_weight_model(CHOLESKY_REJECTED_WEIGHT)) == [True, True]
+
+
+def test_kalman_inverts_a_weight_cholesky_accepts_where_lu_fails():
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(LU_SINGULAR_WEIGHT)
+    eye = np.eye(3)
+    model = DescriptorModel.from_sequences(
+        [eye] * 6, [eye] * 5, [[[1.0, 0.0, 0.0]]] * 6,
+        [LU_SINGULAR_WEIGHT if k in (2, 3) else eye for k in range(6)], [[[1.0]]] * 6)
+    ys = np.random.default_rng(44).normal(size=(6, 1))
+    states = kalman.run_kalman(model, ys)
+    state = kalman.kalman_init(model, ys[0])
+    for k, got in enumerate(states[1:], start=1):
+        state = kalman.kalman_step(state, model, ys[k])
+        assert got.P.tobytes() == state.P.tobytes() and got.x.tobytes() == state.x.tobytes()
+    # inv(S) = inv(W) inv(W)' for the Cholesky factor W'W = S.
+    root = np.linalg.inv(np.linalg.cholesky(LU_SINGULAR_WEIGHT).T)
+    assert np.array_equal(kalman._weight_inverses(model.S[:3], 2)[0][0], root @ root.T)
+
+
+def test_every_route_makes_the_same_decision_on_graded_weights():
+    # Weights with eigenvalues 1, 10^(-e/2) and 10^(-e) in random
+    # directions: at these grades Cholesky accepts some and rejects others,
+    # and each route must decide each weight alike.
+    rng = np.random.default_rng(1)
+    decisions = []
+    for grade in (16, 17, 18):
+        for _ in range(30):
+            Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            S = (Q * [1.0, 10.0 ** (-grade / 2), 10.0 ** -grade]) @ Q.T
+            S = 0.5 * (S + S.T)
+            model = _weight_model(S)
+            accepted = bool(weight_factors(S[None])[1][0])
+            W1 = batch.assemble(model, np.zeros((4, 1))).W1
+            cholesky = accepted and np.array_equal(W1[0], np.linalg.cholesky(S).T)
+            assert validate(model).ok == accepted == cholesky
+            assert _kalman_refusals(model) == [not accepted] * 2
+            decisions.append(accepted)
+    assert 0 < sum(decisions) < len(decisions)

@@ -13,6 +13,7 @@ from daeminimax.linalg import (
     as_matrix,
     as_vector,
     factor_cutoff,
+    kept_count,
     numerical_rank,
     pinv,
     qform,
@@ -204,7 +205,8 @@ def _eigen_factor(S):
 def test_weight_factors_are_each_matrix_cholesky_factor_bit_for_bit():
     rng = np.random.default_rng(60)
     S = np.stack([random_psd_weight(rng, 3) for _ in range(5)])
-    W = weight_factors(S)
+    W, accepted = weight_factors(S)
+    assert accepted.tolist() == [True] * 5
     for Wk, Sk in zip(W, S):
         want = np.linalg.cholesky(Sk).T
         assert Wk.tobytes() == want.tobytes() and Wk.strides == want.strides
@@ -217,12 +219,19 @@ def test_weight_factors_take_the_eigen_factor_for_one_rejected_weight(monkeypatc
         np.linalg.cholesky(CHOLESKY_REJECTED_WEIGHT)
     eigh, calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
-    W = weight_factors(S)
+    W, accepted = weight_factors(S)
+    assert accepted.tolist() == [True, False, True]
     assert len(calls) == 1
     wants = [np.linalg.cholesky(S[0]).T, _eigen_factor(S[1]), np.linalg.cholesky(S[2]).T]
     for Wk, want in zip(W, wants):
         assert Wk.tobytes() == want.tobytes() and Wk.strides == want.strides
     assert np.allclose(W[1].T @ W[1], S[1], atol=1e-14)
+
+
+def test_kept_count_of_a_stack_counts_each_vector_alone():
+    s = np.array([[4.0, 2.0, 1e-9], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert kept_count(s, 1e-6).tolist() == [kept_count(v, 1e-6) for v in s] == [2, 1, 0]
+    assert type(kept_count(s[0], 1e-6)) is int and kept_count(np.zeros(0), 0.5) == 0
 
 
 def test_numerical_rank_of_a_stack_decides_each_matrix_alone():
