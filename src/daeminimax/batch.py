@@ -14,15 +14,18 @@ step, computed by an independent route, which makes it the reference
 implementation the recursion is tested against.
 
 :func:`assemble` factors each run of equal weights once, in one stacked
-call per weight field (``model.per_run``), and the least-squares stack
-is built from blocks, so nothing dense is factored or multiplied by a
-weight.  The problem of a shorter horizon is the leading blocks of a
-longer one (:func:`leading`), so one assembly serves every horizon of a
-model.
+call per weight field (``model.per_run``), and builds the weighted stack
+once, from blocks, so nothing dense is factored or multiplied by a
+weight.  The stack's rows go step by step, so the problem of a shorter
+horizon is the leading blocks of a longer one (:func:`leading`) and one
+assembly serves every horizon of a model.  No horizon's solve depends on
+another's: :func:`horizons` solves them concurrently on threads when
+BLAS is pinned to fewer threads than there are usable CPUs.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +42,7 @@ __all__ = [
     "objective",
     "homogeneous_objective",
     "solve",
+    "horizons",
     "value_function",
     "decomposition_check",
 ]
@@ -52,6 +56,11 @@ class BatchProblem:
     are the block-diagonal weights, y the stacked measurement vector.
     W1 (tau+1, m, m) and W2 (tau+1, p, p) stack the square roots of the
     weight blocks: W1[k]'W1[k] = S_k and W2[k]'W2[k] = R_k.
+
+    M and d are the weighted stack, I(x) = ||M x - d||^2, with the rows
+    of M = [W1 L; W2 H] and d = [0; W2 y] in step order: step k holds
+    the m rows W1_k F_k, -W1_k C_{k-1} and then the p rows W2_k H_k, so
+    the stack of horizon k is the leading (k+1)(m+p) x (k+1)n block.
     """
 
     L: np.ndarray
@@ -61,6 +70,8 @@ class BatchProblem:
     y: np.ndarray
     W1: np.ndarray
     W2: np.ndarray
+    M: np.ndarray
+    d: np.ndarray
     n: int
     m: int
     p: int
@@ -100,8 +111,18 @@ def assemble(model: DescriptorModel, ys) -> BatchProblem:
     for op, blocks in ((L, model.F), (H, model.H), (Q1, model.S), (Q2, model.R)):
         op.reshape(steps, blocks.shape[1], steps, -1)[k, :, k, :] = blocks
     L.reshape(steps, m, steps, n)[k[1:], :, k[:-1], :] = -model.C
-    return BatchProblem(L=L, H=H, Q1=Q1, Q2=Q2, y=ys.reshape(-1), W1=_factors(model.S),
-                        W2=_factors(model.R), n=n, m=m, p=p, tau=tau)
+    W1, W2 = _factors(model.S), _factors(model.R)
+    # The weighted stack in step order, written through its 4-D view
+    # [step, row, step, column]: W1_k F_k on the diagonal, -W1_k C_{k-1}
+    # below it, then W2_k H_k.
+    M, d = np.zeros((steps, m + p, steps, n)), np.zeros((steps, m + p))
+    M[k, :m, k, :] = W1 @ model.F
+    M[k[1:], :m, k[:-1], :] = W1[1:] @ -model.C
+    M[k, m:, k, :] = W2 @ model.H
+    d[:, m:] = np.matvec(W2, ys)
+    return BatchProblem(L=L, H=H, Q1=Q1, Q2=Q2, y=ys.reshape(-1), W1=W1, W2=W2,
+                        M=M.reshape(steps * (m + p), steps * n), d=d.reshape(-1),
+                        n=n, m=m, p=p, tau=tau)
 
 
 def leading(problem: BatchProblem, tau: int) -> BatchProblem:
@@ -113,6 +134,7 @@ def leading(problem: BatchProblem, tau: int) -> BatchProblem:
     return BatchProblem(L=problem.L[:s * m, :s * n], H=problem.H[:s * p, :s * n],
                         Q1=problem.Q1[:s * m, :s * m], Q2=problem.Q2[:s * p, :s * p],
                         y=problem.y[:s * p], W1=problem.W1[:s], W2=problem.W2[:s],
+                        M=problem.M[:s * (m + p), :s * n], d=problem.d[:s * (m + p)],
                         n=n, m=m, p=p, tau=tau)
 
 
@@ -135,33 +157,55 @@ def solve(problem: BatchProblem, rank_tol: float = 0.0) -> BatchSolution:
     The stack M is kept on the solution, so callers can form the normal
     matrix M'M = L' Q1 L + H' Q2 H to verify the optimality residual.
     """
-    M, d, rcond = _weighted_stack(problem, rank_tol)
-    xstack = np.linalg.lstsq(M, d, rcond=rcond)[0]
+    # rcond keeps sigma^2 > cutoff * sigma_max^2 (the schedule's rule), as
+    # pinv(M'M) would.
+    M = problem.M
+    xstack = np.linalg.lstsq(M, problem.d, rcond=factor_cutoff(rank_tol, M.shape[1]))[0]
     value = objective(problem, xstack)
     if not np.isfinite(value) or not np.all(np.isfinite(xstack)):
         raise NumericalBreakdown("batch solve produced non-finite values")
     return BatchSolution(xstack=xstack, minI=float(value), stack=M)
 
 
-def _weighted_stack(problem: BatchProblem, rank_tol: float):
-    # The weights' square roots turn I(x) into a plain residual norm,
-    # I(x) = ||M x - d||^2 with M = [W1 L; W2 H], d = [0; W2 y] and W1, W2
-    # block diagonal.  M is written block by block through 4-D views, as
-    # assemble writes L and H: W1_k F_k on the diagonal, -W1_k C_{k-1} below
-    # it, W2_k H_k.  rcond keeps sigma^2 > cutoff * sigma_max^2 (the
-    # schedule's rule), as pinv(M'M) would.
-    steps, n, m, p = problem.tau + 1, problem.n, problem.m, problem.p
-    k = np.arange(steps)
-    L = problem.L.reshape(steps, m, steps, n)
-    M = np.zeros((steps * (m + p), steps * n))
-    top = M[:steps * m].reshape(steps, m, steps, n)
-    top[k, :, k, :] = problem.W1 @ L[k, :, k, :]
-    top[k[1:], :, k[:-1], :] = problem.W1[1:] @ L[k[1:], :, k[:-1], :]
-    M[steps * m:].reshape(steps, p, steps, n)[k, :, k, :] = (
-        problem.W2 @ problem.H.reshape(steps, p, steps, n)[k, :, k, :])
-    Wy = np.matvec(problem.W2, problem.y.reshape(steps, p))
-    d = np.concatenate([np.zeros(steps * m), Wy.ravel()])
-    return M, d, factor_cutoff(rank_tol, M.shape[1])
+def horizons(problem: BatchProblem, rank_tol: float = 0.0):
+    """``solve(leading(problem, k), rank_tol)`` for k = 0..tau, in order.
+
+    The horizons are solved on ``_solvers()`` threads, at most tau + 1;
+    a solve that raises raises here when its horizon is reached.
+    """
+    def one(k):
+        return solve(leading(problem, k), rank_tol)
+
+    workers = min(_solvers(), problem.tau + 1)
+    if workers == 1:
+        yield from map(one, range(problem.tau + 1))
+    else:
+        # Imported here: it loads logging, about 0.7 MB that no other
+        # command needs.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            yield from pool.map(one, range(problem.tau + 1))
+
+
+def _solvers() -> int:
+    """The usable CPUs over the BLAS threads of each solve.
+
+    That count is the first positive integer in OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS.  Without one, BLAS already uses every CPU, so one
+    solver runs.  Where the platform has no CPU affinity, every CPU
+    counts as usable.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            affinity = getattr(os, "sched_getaffinity", None)
+            cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+            return max(1, cpus // threads)
+    return 1
 
 
 def value_function(problem: BatchProblem, q, rank_tol: float = 0.0) -> float:
@@ -173,10 +217,9 @@ def value_function(problem: BatchProblem, q, rank_tol: float = 0.0) -> float:
     recursion maintains.
     """
     q = as_vector(q, "q", problem.n)
-    M, d, rcond = _weighted_stack(problem, rank_tol)
-    free = problem.tau * problem.n
-    Mz, rhs = M[:, :free], d - M[:, free:] @ q
-    z = np.linalg.lstsq(Mz, rhs, rcond=rcond)[0]
+    M, free = problem.M, problem.tau * problem.n
+    Mz, rhs = M[:, :free], problem.d - M[:, free:] @ q
+    z = np.linalg.lstsq(Mz, rhs, rcond=factor_cutoff(rank_tol, M.shape[1]))[0]
     residual = Mz @ z - rhs
     return float(residual @ residual)
 

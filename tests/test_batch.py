@@ -1,9 +1,13 @@
 """Whole-horizon least-squares oracle: assembly, solve, value function."""
 
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 
-from conftest import CHOLESKY_REJECTED_WEIGHT, feasible_data, random_measurements, random_model
+from conftest import (CHOLESKY_REJECTED_WEIGHT, feasible_data, random_measurements, random_model,
+                      random_regular_model)
 from daeminimax import batch, estimator
 from daeminimax.errors import DimensionMismatch
 from daeminimax.model import DescriptorModel, truncate
@@ -148,11 +152,16 @@ def test_weighted_stack_from_blocks_matches_the_dense_products():
     for _ in range(10):
         model = random_model(rng)
         prob = batch.assemble(model, random_measurements(rng, model))
-        M, d, _ = batch._weighted_stack(prob, 0.0)
+        M, d = prob.M, prob.d
         W1, W2 = np.linalg.cholesky(prob.Q1).T, np.linalg.cholesky(prob.Q2).T
-        dense = np.vstack([W1 @ prob.L, W2 @ prob.H])
+        # The stack's rows go step by step: step k's m rows of W1 L, then
+        # its p rows of W2 H.
+        steps, m, p = prob.tau + 1, prob.m, prob.p
+        order = np.hstack([np.arange(steps * m).reshape(steps, m),
+                           steps * m + np.arange(steps * p).reshape(steps, p)]).ravel()
+        dense = np.vstack([W1 @ prob.L, W2 @ prob.H])[order]
         assert np.allclose(M, dense, rtol=0.0, atol=1e-13 * np.abs(dense).max())
-        assert np.allclose(d, np.concatenate([np.zeros(prob.L.shape[0]), W2 @ prob.y]),
+        assert np.allclose(d, np.concatenate([np.zeros(prob.L.shape[0]), W2 @ prob.y])[order],
                            rtol=0.0, atol=1e-13 * np.abs(d).max())
 
 
@@ -163,7 +172,7 @@ def test_leading_blocks_are_the_truncated_problem():
     whole = batch.assemble(model, ys)
     for k in range(model.tau + 1):
         got, want = batch.leading(whole, k), batch.assemble(truncate(model, k), ys[: k + 1])
-        for name in ("L", "H", "Q1", "Q2", "y", "W1", "W2", "n", "m", "p", "tau"):
+        for name in ("L", "H", "Q1", "Q2", "y", "W1", "W2", "M", "d", "n", "m", "p", "tau"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert batch.solve(got).minI == pytest.approx(batch.solve(want).minI, abs=1e-12)
     with pytest.raises(DimensionMismatch):
@@ -182,3 +191,78 @@ def test_solve_takes_the_eigen_factor_of_a_weight_cholesky_rejects():
     sol = batch.solve(prob)
     assert sol.minI == pytest.approx(batch.objective(prob, sol.xstack), abs=1e-15)
     assert batch.decomposition_check(prob, sol, np.ones(12)) <= 1e-9
+
+
+@pytest.mark.parametrize("draw", [lambda rng: random_regular_model(rng, n=3, tau=12),
+                                  lambda rng: random_model(rng, n=4, m=1, p=1, tau=12)],
+                         ids=["regular", "noncausal"])
+def test_horizons_are_equal_on_one_and_two_solvers(draw, monkeypatch):
+    rng = np.random.default_rng(27)
+    model = draw(rng)
+    problem = batch.assemble(model, random_measurements(rng, model))
+    solutions = {}
+    for solvers in (1, 2):
+        monkeypatch.setattr(batch, "_solvers", lambda: solvers)
+        solutions[solvers] = list(batch.horizons(problem))
+    assert [s.xstack.size for s in solutions[1]] == [k * model.n for k in range(1, model.tau + 2)]
+    for one, two in zip(solutions[1], solutions[2], strict=True):
+        assert np.array_equal(one.xstack, two.xstack) and one.minI == two.minI
+
+
+@pytest.mark.parametrize("env, cpus, solvers", [
+    ({}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
+    ({"OMP_NUM_THREADS": "1"}, 3, 3),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "many"}, 2, 1),
+], ids=["unset", "1", "2", "2-of-8", "4-of-2", "omp", "0", "0-then-omp", "non-numeric"])
+def test_solvers_are_the_usable_cpus_over_the_blas_threads(monkeypatch, env, cpus, solvers):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert batch._solvers() == solvers
+
+
+def test_solvers_count_every_cpu_where_the_platform_has_no_affinity(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert batch._solvers() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert batch._solvers() == 1
+
+
+class _Pool:
+    """A stand-in for ThreadPoolExecutor that records its size and maps in
+    the calling thread."""
+
+    def __init__(self, sizes, workers):
+        sizes.append(workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("solvers, tau, pools", [(2, 6, [2]), (8, 2, [3]), (1, 6, [])],
+                         ids=["more-horizons-than-cpus", "fewer", "one-solver"])
+def test_horizons_take_at_most_one_solver_per_horizon(monkeypatch, solvers, tau, pools):
+    sizes = []
+    monkeypatch.setattr(batch, "_solvers", lambda: solvers)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda workers: _Pool(sizes, workers))
+    problem = batch.assemble(scalar_chain(tau), np.ones((tau + 1, 1)))
+    got = [solution.minI for solution in batch.horizons(problem)]
+    assert got == [batch.solve(batch.leading(problem, k)).minI for k in range(tau + 1)]
+    assert sizes == pools

@@ -438,6 +438,7 @@ def test_compare_kalman_fails_on_a_nan_discrepancy(scalar_setup, capsys, monkeyp
 
 def test_compare_batch_fails_on_a_nan_discrepancy(scalar_setup, capsys, monkeypatch):
     solve, calls = batch.solve, []
+    monkeypatch.setattr(batch, "_solvers", lambda: 1)  # calls in horizon order
 
     def poisoned(*args, **kwargs):
         solution = solve(*args, **kwargs)
@@ -530,12 +531,40 @@ def test_compare_batch_assembles_once_and_solves_each_horizon(tmp_path, capsys, 
     ys = tmp_path / "ys.csv"
     write_table(ys, ["k", "y0"], [[k, 0.1 * k] for k in range(tau + 1)])
     assemble, solve, calls = batch.assemble, batch.solve, []
+    monkeypatch.setattr(batch, "_solvers", lambda: 1)  # calls in horizon order
     monkeypatch.setattr(batch, "assemble", lambda *a: calls.append("assemble") or assemble(*a))
     monkeypatch.setattr(batch, "solve", lambda *a: calls.append(a[0].tau) or solve(*a))
     rc = cli.main(["compare", "--spec", spec, "--measurements", str(ys), "--mode", "batch"])
     assert rc == 0
     assert calls == ["assemble", 0, 1, 2, 3, 4]
     assert len(capsys.readouterr().out.splitlines()) == tau + 3
+
+
+def test_compare_batch_reports_a_failed_horizon_alike_on_one_and_two_solvers(
+        tmp_path, capsys, monkeypatch):
+    tau = 6
+    spec = write_json(tmp_path / "model.json", scalar_doc(tau=tau))
+    ys = tmp_path / "ys.csv"
+    write_table(ys, ["k", "y0"], [[k, 0.1 * k] for k in range(tau + 1)])
+    solve = batch.solve
+
+    def fails_at_horizon_3(problem, rank_tol=0.0):
+        if problem.tau == 3:
+            raise errors.NumericalBreakdown("batch solve produced non-finite values")
+        return solve(problem, rank_tol)
+
+    monkeypatch.setattr(batch, "solve", fails_at_horizon_3)
+    results = []
+    for solvers in (1, 2):
+        monkeypatch.setattr(batch, "_solvers", lambda: solvers)
+        rc = cli.main(["compare", "--spec", spec, "--measurements", str(ys), "--mode", "batch"])
+        results.append((rc, capsys.readouterr()))
+    assert results[0] == results[1]
+    rc, captured = results[0]
+    assert rc == 1
+    assert captured.out.splitlines()[0] == "k,state_discrepancy,beta_discrepancy"
+    assert [line.split(",")[0] for line in captured.out.splitlines()[1:]] == ["0", "1", "2"]
+    assert captured.err == "error: batch solve produced non-finite values\n"
 
 
 def test_compare_absurd_rank_tol_exits_1(tmp_path, capsys):
