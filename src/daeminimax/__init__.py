@@ -13,7 +13,7 @@ Modules
 ``model``      model type, validation, simulation, ODE embedding
 ``estimator``  recursive minimax estimator and informational-set queries
 ``batch``      whole-horizon least-squares reference solution
-``kalman``     information-form recursion for the regular (causal) case
+``kalman``     covariance-form recursion for the regular (causal) case
 ``linalg``     shared SVD-cutoff pseudoinverse, projectors, ranks
 ``formats``    JSON model documents and CSV tables
 ``demo``       built-in demonstration problem

@@ -3,24 +3,24 @@
 The entire trajectory x = (x_0, ..., x_tau) is stacked into one vector
 and the weighted residual functional
 
-    I(x)  = <Q1 L x, L x> + <Q2 (y - H x), y - H x>
-    I1(x) = <Q1 L x, L x> + <Q2 H x, H x>
+    I(x) = sum_k <S_k e_k, e_k> + <R_k g_k, g_k>,
+    e_k = F_k x_k - C_{k-1} x_{k-1} (e_0 = F_0 x_0),  g_k = y_k - H_k x_k,
 
-is minimized in one shot, where L holds the descriptor dynamics
-(F_k on the block diagonal, -C_{k-1} on the subdiagonal), H stacks the
-output maps and Q1, Q2 are the block-diagonal budget weights.  This is
-mathematically the same problem the recursive estimator solves step by
-step, computed by an independent route, which makes it the reference
-implementation the recursion is tested against.
+is minimized in one shot; I1(x) is I with the measurement data removed.
+This is mathematically the same problem the recursive estimator solves
+step by step, computed by an independent route, which makes it the
+reference implementation the recursion is tested against.
 
-:func:`assemble` factors each run of equal weights once, in one stacked
-call per weight field (``model.per_run``), and builds the weighted stack
-once, from blocks, so nothing dense is factored or multiplied by a
-weight.  The stack's rows go step by step, so the problem of a shorter
-horizon is the leading blocks of a longer one (:func:`leading`) and one
-assembly serves every horizon of a model.  No horizon's solve depends on
-another's: :func:`horizons` solves them concurrently on threads when
-BLAS is pinned to fewer threads than there are usable CPUs.
+A :class:`BatchProblem` holds the model, its measurements and the
+weighted stack, with I(x) = ||M x - d||^2.  :func:`assemble` factors
+each run of equal weights once, in one stacked call per weight field
+(``model.per_run``), and writes only the stack, block by block.  Its
+rows go step by step, so the problem of a shorter horizon is the leading
+blocks of a longer one (:func:`leading`) and one assembly serves every
+horizon of a model.  No horizon's solve depends on another's:
+:func:`horizons` solves them concurrently on threads when BLAS is pinned
+to fewer threads than there are usable CPUs.  :func:`objective` sums I
+from the model's own matrices, not from the stack.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalBreakdown
+from .errors import NumericalBreakdown
 from .linalg import as_rows, as_vector, factor_cutoff, weight_factors
-from .model import DescriptorModel, per_run
+from .model import DescriptorModel, per_run, truncate
 
 __all__ = [
     "BatchProblem",
@@ -50,32 +50,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BatchProblem:
-    """Stacked operators and data for one horizon.
+    """The whole-horizon problem of ``model`` and its (tau+1, p)
+    measurement rows ``y``.
 
-    L is ((tau+1) m, (tau+1) n), H is ((tau+1) p, (tau+1) n), Q1 and Q2
-    are the block-diagonal weights, y the stacked measurement vector.
-    W1 (tau+1, m, m) and W2 (tau+1, p, p) stack the square roots of the
-    weight blocks: W1[k]'W1[k] = S_k and W2[k]'W2[k] = R_k.
-
-    M and d are the weighted stack, I(x) = ||M x - d||^2, with the rows
-    of M = [W1 L; W2 H] and d = [0; W2 y] in step order: step k holds
-    the m rows W1_k F_k, -W1_k C_{k-1} and then the p rows W2_k H_k, so
-    the stack of horizon k is the leading (k+1)(m+p) x (k+1)n block.
+    M and d are the weighted stack, I(x) = ||M x - d||^2, with W1_k'W1_k
+    = S_k and W2_k'W2_k = R_k.  Its rows go in step order: step k holds
+    the m rows W1_k F_k, -W1_k C_{k-1} (d: 0) and then the p rows W2_k H_k
+    (d: W2_k y_k), so the stack of horizon k is the leading
+    (k+1)(m+p) x (k+1)n block.
     """
 
-    L: np.ndarray
-    H: np.ndarray
-    Q1: np.ndarray
-    Q2: np.ndarray
+    model: DescriptorModel
     y: np.ndarray
-    W1: np.ndarray
-    W2: np.ndarray
     M: np.ndarray
     d: np.ndarray
-    n: int
-    m: int
-    p: int
-    tau: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +77,7 @@ class BatchSolution:
 
     @property
     def normal_matrix(self) -> np.ndarray:
-        """The normal matrix M'M = L' Q1 L + H' Q2 H, formed on request."""
+        """The normal matrix M'M, formed on request."""
         return self.stack.T @ self.stack
 
 
@@ -105,12 +93,6 @@ def assemble(model: DescriptorModel, ys) -> BatchProblem:
     tau, n, m, p = model.tau, model.n, model.m, model.p
     ys = as_rows(ys, tau + 1, p, "measurements")
     steps, k = tau + 1, np.arange(tau + 1)
-    L, H = np.zeros((steps * m, steps * n)), np.zeros((steps * p, steps * n))
-    Q1, Q2 = np.zeros((steps * m, steps * m)), np.zeros((steps * p, steps * p))
-    # Block (j, k) of each operator is [j, :, k, :] of its 4-D view.
-    for op, blocks in ((L, model.F), (H, model.H), (Q1, model.S), (Q2, model.R)):
-        op.reshape(steps, blocks.shape[1], steps, -1)[k, :, k, :] = blocks
-    L.reshape(steps, m, steps, n)[k[1:], :, k[:-1], :] = -model.C
     W1, W2 = _factors(model.S), _factors(model.R)
     # The weighted stack in step order, written through its 4-D view
     # [step, row, step, column]: W1_k F_k on the diagonal, -W1_k C_{k-1}
@@ -120,30 +102,29 @@ def assemble(model: DescriptorModel, ys) -> BatchProblem:
     M[k[1:], :m, k[:-1], :] = W1[1:] @ -model.C
     M[k, m:, k, :] = W2 @ model.H
     d[:, m:] = np.matvec(W2, ys)
-    return BatchProblem(L=L, H=H, Q1=Q1, Q2=Q2, y=ys.reshape(-1), W1=W1, W2=W2,
-                        M=M.reshape(steps * (m + p), steps * n), d=d.reshape(-1),
-                        n=n, m=m, p=p, tau=tau)
+    return BatchProblem(model=model, y=ys, M=M.reshape(steps * (m + p), steps * n),
+                        d=d.reshape(-1))
 
 
 def leading(problem: BatchProblem, tau: int) -> BatchProblem:
-    """The problem of horizon ``tau``: views of the leading blocks of
-    ``problem``, equal to the assembly of the truncated model and data."""
-    if not 0 <= tau <= problem.tau:
-        raise DimensionMismatch(f"cannot truncate horizon {problem.tau} to {tau}")
-    s, n, m, p = tau + 1, problem.n, problem.m, problem.p
-    return BatchProblem(L=problem.L[:s * m, :s * n], H=problem.H[:s * p, :s * n],
-                        Q1=problem.Q1[:s * m, :s * m], Q2=problem.Q2[:s * p, :s * p],
-                        y=problem.y[:s * p], W1=problem.W1[:s], W2=problem.W2[:s],
-                        M=problem.M[:s * (m + p), :s * n], d=problem.d[:s * (m + p)],
-                        n=n, m=m, p=p, tau=tau)
+    """The problem of horizon ``tau``, equal to the assembly of the truncated
+    model and data: that model and views of the leading blocks of ``problem``."""
+    model = truncate(problem.model, tau)
+    rows, cols = (tau + 1) * (model.m + model.p), (tau + 1) * model.n
+    return BatchProblem(model=model, y=problem.y[:tau + 1], M=problem.M[:rows, :cols],
+                        d=problem.d[:rows])
 
 
 def objective(problem: BatchProblem, x) -> float:
-    """I(x), the weighted residual of the stacked trajectory x."""
-    x = as_vector(x, "xstack", problem.L.shape[1])
-    Lx = problem.L @ x
-    res = problem.y - problem.H @ x
-    return float(Lx @ (problem.Q1 @ Lx) + res @ (problem.Q2 @ res))
+    """I(x), the weighted residual of the stacked trajectory x, step by
+    step from the model's own F, C, H, S and R."""
+    model = problem.model
+    xs = as_vector(x, "xstack", (model.tau + 1) * model.n).reshape(-1, model.n)
+    e = np.matvec(model.F, xs)
+    e[1:] -= np.matvec(model.C, xs[:-1])
+    g = problem.y - np.matvec(model.H, xs)
+    return float(np.vecdot(np.matvec(model.S, e), e).sum()
+                 + np.vecdot(np.matvec(model.R, g), g).sum())
 
 
 def homogeneous_objective(problem: BatchProblem, x) -> float:
@@ -155,7 +136,7 @@ def solve(problem: BatchProblem, rank_tol: float = 0.0) -> BatchSolution:
     """Minimum-norm minimizer of I by least squares on the weighted stack.
 
     The stack M is kept on the solution, so callers can form the normal
-    matrix M'M = L' Q1 L + H' Q2 H to verify the optimality residual.
+    matrix M'M to verify the optimality residual.
     """
     # rcond keeps sigma^2 > cutoff * sigma_max^2 (the schedule's rule), as
     # pinv(M'M) would.
@@ -176,16 +157,17 @@ def horizons(problem: BatchProblem, rank_tol: float = 0.0):
     def one(k):
         return solve(leading(problem, k), rank_tol)
 
-    workers = min(_solvers(), problem.tau + 1)
+    steps = problem.model.tau + 1
+    workers = min(_solvers(), steps)
     if workers == 1:
-        yield from map(one, range(problem.tau + 1))
+        yield from map(one, range(steps))
     else:
         # Imported here: it loads logging, about 0.7 MB that no other
         # command needs.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            yield from pool.map(one, range(problem.tau + 1))
+            yield from pool.map(one, range(steps))
 
 
 def _solvers() -> int:
@@ -216,8 +198,8 @@ def value_function(problem: BatchProblem, q, rank_tol: float = 0.0) -> float:
     q this is the quadratic <P_tau q, q> - 2 <r_tau, q> + alpha_tau the
     recursion maintains.
     """
-    q = as_vector(q, "q", problem.n)
-    M, free = problem.M, problem.tau * problem.n
+    q = as_vector(q, "q", problem.model.n)
+    M, free = problem.M, problem.M.shape[1] - q.size
     Mz, rhs = M[:, :free], problem.d - M[:, free:] @ q
     z = np.linalg.lstsq(Mz, rhs, rcond=factor_cutoff(rank_tol, M.shape[1]))[0]
     residual = Mz @ z - rhs
@@ -232,7 +214,7 @@ def decomposition_check(problem: BatchProblem, solution: BatchSolution, x) -> fl
     measures how far the solver is from optimality; it should sit at
     roundoff level for any probe x.
     """
-    x = as_vector(x, "xstack", problem.L.shape[1])
+    x = as_vector(x, "xstack", problem.M.shape[1])
     lhs = objective(problem, solution.xstack - x)
     rhs = homogeneous_objective(problem, x) + solution.minI
     return float(abs(lhs - rhs))

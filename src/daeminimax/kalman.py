@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, NumericalBreakdown, SingularMatrix
 from .linalg import as_rows, numerical_rank, symmetrize, weight_factors
 from .model import DescriptorModel, per_run, step_changes, step_runs
 
@@ -88,9 +88,18 @@ def _weight_inverses(S: np.ndarray, first: int) -> tuple:
     return inverses, run_of
 
 
+def _finite(mat: np.ndarray, k: int, what: str) -> np.ndarray:
+    """``mat``, or a breakdown naming step k if its products overflowed."""
+    if not np.isfinite(mat).all():
+        raise NumericalBreakdown(f"step {k}: the {what} overflows")
+    return mat
+
+
 def _first(F: np.ndarray, S: np.ndarray, HtRH: np.ndarray, HtRy: np.ndarray) -> KalmanState:
     """The filtered state at k = 0 from step 0's terms H_0'R_0 H_0 and H_0'R_0 y_0."""
-    P = _inv(symmetrize(F.T @ S @ F + HtRH), "information matrix at k=0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        info = _finite(F.T @ S @ F + HtRH, 0, "information matrix")
+    P = _inv(symmetrize(info), "information matrix at k=0")
     return KalmanState(k=0, P=0.5 * (P + P.T), x=P @ HtRy)
 
 
@@ -100,9 +109,11 @@ def _advance(state: KalmanState, F: np.ndarray, C: np.ndarray, S_inv: np.ndarray
     F_k, C_{k-1}, inv(S_k), H_k'R_k H_k and H_k'R_k y_k.  Only F'AF + H'RH
     goes through ``linalg.symmetrize``, which warns of a large skew."""
     k = state.k + 1
-    gain = S_inv + C @ state.P @ C.T
-    A = _inv(0.5 * (gain + gain.T), f"gain matrix at k={k}")
-    P = _inv(symmetrize(F.T @ A @ F + HtRH), f"information matrix at k={k}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = _finite(S_inv + C @ state.P @ C.T, k, "gain matrix")
+        A = _inv(0.5 * (gain + gain.T), f"gain matrix at k={k}")
+        info = _finite(F.T @ A @ F + HtRH, k, "information matrix")
+    P = _inv(symmetrize(info), f"information matrix at k={k}")
     P = 0.5 * (P + P.T)
     return KalmanState(k=k, P=P, x=P @ (F.T @ (A @ (C @ state.x)) + HtRy))
 

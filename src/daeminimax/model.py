@@ -142,7 +142,7 @@ class DescriptorModel:
     H: np.ndarray
     S: np.ndarray
     R: np.ndarray
-    # Last estimator schedule, (rank_tol, links); written only by estimator.schedule.
+    # Last estimator schedule, (rank_tol, links, link_of); written only by estimator.schedule.
     _schedule: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from daeminimax import batch, estimator
+from daeminimax import estimator
 from daeminimax.errors import NumericalBreakdown
 from daeminimax.linalg import numerical_rank
 from daeminimax.model import DescriptorModel, budget
@@ -104,6 +104,22 @@ def random_measurements(rng: np.random.Generator, model: DescriptorModel) -> np.
     return rng.normal(size=(model.tau + 1, model.p))
 
 
+def dense_operators(model: DescriptorModel):
+    """The whole-horizon operators (L, H, Q1, Q2) of ``model`` as dense
+    block matrices: L holds F_k on its block diagonal and -C_{k-1} below
+    it, H the output maps, Q1 and Q2 the weights on their diagonals, so
+    I(x) = <Q1 L x, L x> + <Q2 (y - H x), y - H x>."""
+    n, m, p, steps = model.n, model.m, model.p, model.tau + 1
+    k = np.arange(steps)
+    L, H = np.zeros((steps * m, steps * n)), np.zeros((steps * p, steps * n))
+    Q1, Q2 = np.zeros((steps * m, steps * m)), np.zeros((steps * p, steps * p))
+    # Block (j, k) of each operator is [j, :, k, :] of its 4-D view.
+    for op, blocks in ((L, model.F), (H, model.H), (Q1, model.S), (Q2, model.R)):
+        op.reshape(steps, blocks.shape[1], steps, -1)[k, :, k, :] = blocks
+    L.reshape(steps, m, steps, n)[k[1:], :, k[:-1], :] = -model.C
+    return L, H, Q1, Q2
+
+
 def _spectrum_clear(mat: np.ndarray) -> bool:
     """True when no relative eigenvalue magnitude falls in the gray band."""
     eigs = np.abs(np.linalg.eigvalsh(0.5 * (mat + mat.T)))
@@ -153,8 +169,8 @@ def well_conditioned_instance(
             + model.C[k - 1].T @ model.S[k] @ model.C[k - 1]
             for k in range(1, model.tau + 1)
         ]
-        prob = batch.assemble(model, ys)
-        mats.append(prob.L.T @ prob.Q1 @ prob.L + prob.H.T @ prob.Q2 @ prob.H)
+        L, H, Q1, Q2 = dense_operators(model)
+        mats.append(L.T @ Q1 @ L + H.T @ Q2 @ H)
         if all(_spectrum_clear(mat) for mat in mats):
             return model, ys
 

@@ -2,13 +2,14 @@
 
 import concurrent.futures
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import (CHOLESKY_REJECTED_WEIGHT, feasible_data, random_measurements, random_model,
-                      random_regular_model)
-from daeminimax import batch, estimator
+from conftest import (CHOLESKY_REJECTED_WEIGHT, dense_operators, feasible_data, random_measurements,
+                      random_model, random_regular_model)
+from daeminimax import batch, demo, estimator
 from daeminimax.errors import DimensionMismatch
 from daeminimax.model import DescriptorModel, truncate
 
@@ -21,11 +22,11 @@ def scalar_chain(tau=1):
 def test_assemble_block_structure():
     model = scalar_chain(1)
     prob = batch.assemble(model, np.array([[1.0], [1.0]]))
-    assert np.array_equal(prob.L, np.array([[1.0, 0.0], [-1.0, 1.0]]))
-    assert np.array_equal(prob.H, np.eye(2))
-    assert np.array_equal(prob.Q1, np.eye(2))
-    assert np.array_equal(prob.Q2, np.eye(2))
-    assert np.array_equal(prob.y, np.array([1.0, 1.0]))
+    assert prob.model is model
+    assert np.array_equal(prob.y, np.array([[1.0], [1.0]]))
+    # Rows x0, then y0 - x0, then x1 - x0, then y1 - x1.
+    assert np.array_equal(prob.M, np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 1.0], [0.0, 1.0]]))
+    assert np.array_equal(prob.d, np.array([0.0, 1.0, 0.0, 1.0]))
 
 
 def test_assemble_block_structure_nontrivial_dims():
@@ -33,13 +34,23 @@ def test_assemble_block_structure_nontrivial_dims():
     model = random_model(rng, n=2, m=3, p=1, tau=2)
     ys = random_measurements(rng, model)
     prob = batch.assemble(model, ys)
-    assert prob.L.shape == (9, 6)
-    assert np.array_equal(prob.L[3:6, 0:2], -model.C[0])
-    assert np.array_equal(prob.L[3:6, 2:4], model.F[1])
-    assert np.all(prob.L[0:3, 2:6] == 0.0)
-    assert np.array_equal(prob.H[2:3, 4:6], model.H[2])
-    assert np.array_equal(prob.Q1[3:6, 3:6], model.S[1])
-    assert np.array_equal(prob.Q2[1:2, 1:2], model.R[1])
+    assert prob.M.shape == (12, 6) and prob.d.shape == (12,)
+    assert np.array_equal(prob.y, ys)
+    blocks, d = prob.M.reshape(3, 4, 3, 2), prob.d.reshape(3, 4)  # [step, row, step, column]
+    for j in range(3):
+        F, S, H, R = model.F[j], model.S[j], model.H[j], model.R[j]
+        equation, output = blocks[j, :3], blocks[j, 3:]
+        # Each block is a factor of its weight times the model's block.
+        assert np.allclose(equation[:, j].T @ equation[:, j], F.T @ S @ F)
+        assert np.allclose(output[:, j].T @ output[:, j], H.T @ R @ H)
+        assert np.allclose(d[j, 3:] @ d[j, 3:], ys[j] @ R @ ys[j])
+        assert np.all(d[j, :3] == 0.0)
+        assert np.all(output[:, np.arange(3) != j] == 0.0)
+        assert np.all(equation[:, ~np.isin(np.arange(3), (j - 1, j))] == 0.0)
+        if j:
+            C = model.C[j - 1]
+            assert np.allclose(equation[:, j - 1].T @ equation[:, j - 1], C.T @ S @ C)
+            assert np.allclose(equation[:, j].T @ equation[:, j - 1], -F.T @ S @ C)
 
 
 def test_solve_scalar_chain_worked():
@@ -148,21 +159,29 @@ def test_oracle_and_recursion_share_the_cutoff(tol, expected):
 
 
 def test_weighted_stack_from_blocks_matches_the_dense_products():
-    rng = np.random.default_rng(25)
+    rng, probes = np.random.default_rng(25), np.random.default_rng(250)
     for _ in range(10):
         model = random_model(rng)
         prob = batch.assemble(model, random_measurements(rng, model))
-        M, d = prob.M, prob.d
-        W1, W2 = np.linalg.cholesky(prob.Q1).T, np.linalg.cholesky(prob.Q2).T
+        L, H, Q1, Q2 = dense_operators(model)
+        W1, W2 = np.linalg.cholesky(Q1).T, np.linalg.cholesky(Q2).T
+        y = prob.y.reshape(-1)
         # The stack's rows go step by step: step k's m rows of W1 L, then
         # its p rows of W2 H.
-        steps, m, p = prob.tau + 1, prob.m, prob.p
+        steps, m, p = model.tau + 1, model.m, model.p
         order = np.hstack([np.arange(steps * m).reshape(steps, m),
                            steps * m + np.arange(steps * p).reshape(steps, p)]).ravel()
-        dense = np.vstack([W1 @ prob.L, W2 @ prob.H])[order]
-        assert np.allclose(M, dense, rtol=0.0, atol=1e-13 * np.abs(dense).max())
-        assert np.allclose(d, np.concatenate([np.zeros(prob.L.shape[0]), W2 @ prob.y])[order],
-                           rtol=0.0, atol=1e-13 * np.abs(d).max())
+        dense = np.vstack([W1 @ L, W2 @ H])[order]
+        assert np.allclose(prob.M, dense, rtol=0.0, atol=1e-13 * np.abs(dense).max())
+        assert np.allclose(prob.d, np.concatenate([np.zeros(L.shape[0]), W2 @ y])[order],
+                           rtol=0.0, atol=1e-13 * np.abs(prob.d).max())
+        # objective sums the model's blocks, not the stack's rows.
+        x = probes.normal(size=L.shape[1])
+        Lx, Hx = L @ x, H @ x
+        assert batch.objective(prob, x) == pytest.approx(
+            Lx @ Q1 @ Lx + (y - Hx) @ Q2 @ (y - Hx), rel=1e-12)
+        assert batch.homogeneous_objective(prob, x) == pytest.approx(
+            Lx @ Q1 @ Lx + Hx @ Q2 @ Hx, rel=1e-12)
 
 
 def test_leading_blocks_are_the_truncated_problem():
@@ -172,11 +191,27 @@ def test_leading_blocks_are_the_truncated_problem():
     whole = batch.assemble(model, ys)
     for k in range(model.tau + 1):
         got, want = batch.leading(whole, k), batch.assemble(truncate(model, k), ys[: k + 1])
-        for name in ("L", "H", "Q1", "Q2", "y", "W1", "W2", "M", "d", "n", "m", "p", "tau"):
+        for name in ("y", "M", "d"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name in ("n", "m", "p", "tau", "F", "C", "H", "S", "R"):
+            assert np.array_equal(getattr(got.model, name), getattr(want.model, name)), name
         assert batch.solve(got).minI == pytest.approx(batch.solve(want).minI, abs=1e-12)
     with pytest.raises(DimensionMismatch):
         batch.leading(whole, model.tau + 1)
+
+
+def test_assemble_holds_little_beside_the_weighted_stack():
+    # assemble writes the stack and no dense operator beside it: at most
+    # 10% above the stack's own bytes on a 301-step model.
+    model = demo.build_model(300)
+    ys = np.zeros((model.tau + 1, model.p))
+    tracemalloc.start()
+    try:
+        problem = batch.assemble(model, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * problem.M.nbytes
 
 
 def test_solve_takes_the_eigen_factor_of_a_weight_cholesky_rejects():
@@ -187,7 +222,8 @@ def test_solve_takes_the_eigen_factor_of_a_weight_cholesky_rejects():
     model = DescriptorModel.constant(eye, eye, [[1.0, 0.0, 0.0]], CHOLESKY_REJECTED_WEIGHT,
                                      [[1.0]], tau=3)
     prob = batch.assemble(model, np.array([[0.1], [0.2], [0.0], [-0.1]]))
-    assert np.allclose(prob.W1.mT @ prob.W1, CHOLESKY_REJECTED_WEIGHT, atol=1e-14)
+    W1 = prob.M[:3, :3]  # step 0's factor times F_0 = I
+    assert np.allclose(W1.T @ W1, CHOLESKY_REJECTED_WEIGHT, atol=1e-14)
     sol = batch.solve(prob)
     assert sol.minI == pytest.approx(batch.objective(prob, sol.xstack), abs=1e-15)
     assert batch.decomposition_check(prob, sol, np.ones(12)) <= 1e-9

@@ -346,38 +346,50 @@ def test_long_constant_bad_weight_makes_a_short_error_line(tmp_path, capsys):
                         "(min eigenvalue -1)\n")
 
 
-@pytest.mark.parametrize("override, k", [
-    ({"C": [[1e300]], "S": [[1e300]]}, 1),  # G = W C overflows
-    ({"F": [[1e200]]}, 0),  # the factor of P_0 is finite, its square is not
-])
-def test_estimate_overflowing_factor_exits_1(tmp_path, capsys, override, k):
-    # A breakdown with exit 1, never a traceback.
+OVERFLOWS = [
+    # G = W C overflows.
+    ("estimate", {"C": [[1e300]], "S": [[1e300]]}, "step 1: a factor of P overflows"),
+    # The factor of P_0 is finite, its square is not.
+    ("estimate", {"F": [[1e200]]}, "step 0: a factor of P overflows"),
+    # F_0'S_0 F_0 overflows.
+    ("kalman", {"F": [[1e200]]}, "step 0: the information matrix overflows"),
+    # inv(S_2) + C_1 P_1 C_1' overflows.
+    ("kalman", {"C": [[1e300]], "S": [[1e300]]}, "step 2: the gain matrix overflows"),
+]
+# The override's index and the step that breaks down.
+OVERFLOW_IDS = ["override0-1", "override1-0", "kalman-override1-0", "kalman-override0-2"]
+
+
+def overflow_argv(tmp_path, command, override):
     spec = write_json(tmp_path / "model.json", dict(scalar_doc(tau=2), **override))
     ys = tmp_path / "ys.csv"
     write_table(ys, ["k", "y0"], [[0, 0.0], [1, 0.0], [2, 0.0]])
+    files = ["--spec", spec, "--measurements", str(ys)]
+    if command == "kalman":
+        return ["compare", *files, "--mode", "kalman"]
+    return ["estimate", *files, "--out", str(tmp_path / "est.csv")]
+
+
+@pytest.mark.parametrize("command, override, message", OVERFLOWS, ids=OVERFLOW_IDS)
+def test_estimate_overflowing_factor_exits_1(tmp_path, capsys, command, override, message):
+    # A breakdown with exit 1, never a traceback.
+    argv = overflow_argv(tmp_path, command, override)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rc = cli.main(["estimate", "--spec", spec, "--measurements", str(ys),
-                       "--out", str(tmp_path / "est.csv")])
+        rc = cli.main(argv)
     assert rc == 1
-    assert capsys.readouterr().err == f"error: step {k}: a factor of P overflows\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("override, k", [
-    ({"C": [[1e300]], "S": [[1e300]]}, 1),
-    ({"F": [[1e200]]}, 0),
-])
-def test_estimate_overflowing_factor_warns_nothing(tmp_path, capsys, override, k):
+@pytest.mark.parametrize("command, override, message", OVERFLOWS, ids=OVERFLOW_IDS)
+def test_estimate_overflowing_factor_warns_nothing(tmp_path, capsys, command, override, message):
     # The breakdown message is all that reaches stderr: no numpy warning.
-    spec = write_json(tmp_path / "model.json", dict(scalar_doc(tau=2), **override))
-    ys = tmp_path / "ys.csv"
-    write_table(ys, ["k", "y0"], [[0, 0.0], [1, 0.0], [2, 0.0]])
+    argv = overflow_argv(tmp_path, command, override)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = cli.main(["estimate", "--spec", spec, "--measurements", str(ys),
-                       "--out", str(tmp_path / "est.csv")])
+        rc = cli.main(argv)
     assert rc == 1
-    assert capsys.readouterr().err == f"error: step {k}: a factor of P overflows\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # --- observability -----------------------------------------------------
@@ -533,7 +545,7 @@ def test_compare_batch_assembles_once_and_solves_each_horizon(tmp_path, capsys, 
     assemble, solve, calls = batch.assemble, batch.solve, []
     monkeypatch.setattr(batch, "_solvers", lambda: 1)  # calls in horizon order
     monkeypatch.setattr(batch, "assemble", lambda *a: calls.append("assemble") or assemble(*a))
-    monkeypatch.setattr(batch, "solve", lambda *a: calls.append(a[0].tau) or solve(*a))
+    monkeypatch.setattr(batch, "solve", lambda *a: calls.append(a[0].model.tau) or solve(*a))
     rc = cli.main(["compare", "--spec", spec, "--measurements", str(ys), "--mode", "batch"])
     assert rc == 0
     assert calls == ["assemble", 0, 1, 2, 3, 4]
@@ -549,7 +561,7 @@ def test_compare_batch_reports_a_failed_horizon_alike_on_one_and_two_solvers(
     solve = batch.solve
 
     def fails_at_horizon_3(problem, rank_tol=0.0):
-        if problem.tau == 3:
+        if problem.model.tau == 3:
             raise errors.NumericalBreakdown("batch solve produced non-finite values")
         return solve(problem, rank_tol)
 

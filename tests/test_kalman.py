@@ -253,8 +253,8 @@ def test_every_route_makes_the_same_decision_on_graded_weights():
             S = 0.5 * (S + S.T)
             model = _weight_model(S)
             accepted = bool(weight_factors(S[None])[1][0])
-            W1 = batch.assemble(model, np.zeros((4, 1))).W1
-            cholesky = accepted and np.array_equal(W1[0], np.linalg.cholesky(S).T)
+            W1 = batch.assemble(model, np.zeros((4, 1))).M[:3, :3]  # step 0's factor, F_0 = I
+            cholesky = accepted and np.array_equal(W1, np.linalg.cholesky(S).T)
             assert validate(model).ok == accepted == cholesky
             assert _kalman_refusals(model) == [not accepted] * 2
             decisions.append(accepted)
