@@ -43,7 +43,7 @@ from .estimator import (
     membership,
 )
 from .kalman import KalmanState, check_regularity, kalman_init, kalman_step, run_kalman
-from .linalg import numerical_rank, pinv, range_projector, sym_rank, symmetrize
+from .linalg import numerical_rank, pinv, range_projector, symmetrize
 from .model import (
     DescriptorModel,
     Trajectory,

@@ -13,8 +13,8 @@ reference implementation the recursion is tested against.
 
 A :class:`BatchProblem` holds the model, its measurements and the
 weighted stack, with I(x) = ||M x - d||^2.  :func:`assemble` factors
-each run of equal weights once, in one stacked call per weight field
-(``model.per_run``), and writes only the stack, block by block.  Its
+each run of equal weights once and refuses one that Cholesky rejects
+(``model.weight_runs``); it writes only the stack, block by block.  Its
 rows go step by step, so the problem of a shorter horizon is the leading
 blocks of a longer one (:func:`leading`) and one assembly serves every
 horizon of a model.  No horizon's solve depends on another's:
@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .linalg import as_rows, as_vector, factor_cutoff, weight_factors
-from .model import DescriptorModel, per_run, truncate
+from .linalg import as_rows, as_vector, factor_cutoff
+from .model import DescriptorModel, truncate, weight_runs
 
 __all__ = [
     "BatchProblem",
@@ -81,19 +81,13 @@ class BatchSolution:
         return self.stack.T @ self.stack
 
 
-def _factors(weights: np.ndarray) -> np.ndarray:
-    """The factor from ``linalg.weight_factors`` of every step's weight,
-    each run of equal weights factored once (``model.per_run``)."""
-    (factors, _), run_of = per_run(weight_factors, weights)
-    return factors[run_of]
-
-
 def assemble(model: DescriptorModel, ys) -> BatchProblem:
     """Stack the model and measurements into one least-squares problem."""
     tau, n, m, p = model.tau, model.n, model.m, model.p
     ys = as_rows(ys, tau + 1, p, "measurements")
     steps, k = tau + 1, np.arange(tau + 1)
-    W1, W2 = _factors(model.S), _factors(model.R)
+    (Wt1, run_S), (Wt2, run_R) = weight_runs(model.S, "S"), weight_runs(model.R, "R")
+    W1, W2 = Wt1[run_S].mT, Wt2[run_R].mT
     # The weighted stack in step order, written through its 4-D view
     # [step, row, step, column]: W1_k F_k on the diagonal, -W1_k C_{k-1}
     # below it, then W2_k H_k.

@@ -28,15 +28,16 @@ once, and ``link_of``, the index of each step's link: the kept eigenpairs
 (V_r, lam_r) of P_k and the transport factors of r and alpha, in
 square-root information form: P_k is never formed, only a factor Z_k
 with P_k = Z_k'Z_k (see :func:`_link`).  Each run of equal weights is
-factored once per model (``model.per_run``), and the products of the
+factored once per model (``model.weight_runs``), and the products of the
 factors with the model's matrices are computed in stacked calls over
 blocks of steps (:func:`_step_products`).
 On a time-invariant model a link depends only on the previous step's
 eigenpairs, which recur exactly, so a recurring input reuses its link.
 The data pass maps (r, alpha) through the links and factorizes nothing;
-:func:`run` returns a :class:`Run`, its arrays indexed by step.  The model keeps its last schedule, and its
-matrices are read-only so that schedule cannot go stale.  :func:`init`
-and :func:`step` compute and apply one link each, through the same code.
+:func:`run` returns a :class:`Run`, its arrays indexed by step.  The model
+keeps its last schedule, and its read-only matrices keep it from going
+stale.  :func:`init` and :func:`step` compute and apply one link each,
+through the same code.
 
 Every rank decision is made on the singular values sigma of a factor,
 and ``rank_tol`` is a relative cutoff on the eigenvalues sigma^2 of the
@@ -78,8 +79,8 @@ from .errors import (
     NumericalBreakdown,
     OutsideObservable,
 )
-from .linalg import EPS, as_rows, as_vector, factor_cutoff, kept_count, qform, weight_factors
-from .model import DescriptorModel, per_run, step_changes
+from .linalg import EPS, as_rows, as_vector, factor_cutoff, kept_count, qform
+from .model import DescriptorModel, step_changes, weight_runs
 
 __all__ = [
     "BETA_TOL",
@@ -221,7 +222,7 @@ class Link(NamedTuple):
 class _Products(NamedTuple):
     """The products of step k that depend on the model alone.
 
-    With W'W = S_k and Q'Q = R_k (``linalg.weight_factors``): WF = W F_k,
+    With W'W = S_k and Q'Q = R_k (``model.weight_runs``): WF = W F_k,
     G = W C_{k-1} (zeros at k = 0, where no link reads it), QH = Q H_k,
     HtR = H_k'R_k.  For a stack of steps each has a leading step axis.
     """
@@ -250,10 +251,8 @@ def _stacked_products(model: DescriptorModel, k: np.ndarray, W: np.ndarray,
 
 def _products(model: DescriptorModel, k: int) -> _Products:
     """Step k's products: :func:`_stacked_products` on a stack of one step."""
-    at = np.array([k])
-    stack = _stacked_products(model, at, weight_factors(model.S[at])[0],
-                              weight_factors(model.R[at])[0])
-    return _Products(*(a[0] for a in stack))
+    W, Q = (weight_runs(seq[:k + 1], name, k)[0].mT for seq, name in zip((model.S, model.R), "SR"))
+    return _Products(*(a[0] for a in _stacked_products(model, np.array([k]), W, Q)))
 
 
 def _step_products(model: DescriptorModel):
@@ -262,15 +261,14 @@ def _step_products(model: DescriptorModel):
     steps with a change are taken in blocks of at most _STACK_ELEMENTS
     product elements through :func:`_stacked_products`, and each run of
     equal weights is factored once, in one stacked call per weight field
-    (``model.per_run``).  One block's products are held at a time; only
+    (``model.weight_runs``).  One block's products are held at a time; only
     the HtR and R that links keep outlive it."""
     changes = np.array([step_changes(model.F), np.insert(step_changes(model.C), 0, True),
                         step_changes(model.H), step_changes(model.S), step_changes(model.R)])
     new = np.flatnonzero(changes.any(axis=0))
     counts = np.diff(new, append=model.tau + 1).tolist()
-    # W' of each weight run, C-contiguous, so each W keeps the layout of cholesky(S).T.
-    Wt, run_S = per_run(lambda S: weight_factors(S)[0].mT, model.S)
-    Qt, run_R = per_run(lambda R: weight_factors(R)[0].mT, model.R)
+    Wt, run_S = weight_runs(model.S, "S")
+    Qt, run_R = weight_runs(model.R, "R")
     m, n, p = model.m, model.n, model.p
     size = max(1, _STACK_ELEMENTS // (m * (m + 2 * n) + p * (p + 2 * n)))
     for at in range(0, new.size, size):
@@ -300,7 +298,7 @@ def _svd(M: np.ndarray, k: int, full: bool):
     raise NumericalBreakdown(f"step {k}: a factor of P overflows")
 
 
-def _link(V_prev, lam_prev, k: int, rank_tol: float, prod: _Products) -> Link:
+def _link(V_prev, lam_prev, k: int, cut: float, prod: _Products) -> Link:
     """Step k of the recursion without the data: P_k and the transport.
 
     P_{k-1} = V_prev diag(lam_prev) V_prev' and ``prod`` holds
@@ -321,14 +319,12 @@ def _link(V_prev, lam_prev, k: int, rank_tol: float, prod: _Products) -> Link:
     has no cancellation and needs no clip, and P_k = Z'Z with
     Z = [Q H; U_perp' W F] (Q'Q = R; Z = [Q H; W F] at k = 0).  One economy
     SVD of Z gives the kept eigenpairs of P_k, lam = sigma^2; P_k cannot
-    lose semidefiniteness.  Both SVDs go through :func:`_svd`, and each
-    keeps sigma > sqrt(cutoff) * sigma_max: the eigenvalues of B and of P_k
-    above the run's relative cutoff.
+    lose semidefiniteness.  Both SVDs go through :func:`_svd`, and each keeps
+    sigma > cut * sigma_max, ``cut`` the run's ``linalg.factor_cutoff``:
+    the eigenvalues of B and of P_k above the run's relative cutoff.
     """
-    n = prod.WF.shape[1]
-    cut = factor_cutoff(rank_tol, n)
     if k == 0:
-        E = L = np.zeros((n, 0))
+        E = L = np.zeros((prod.WF.shape[1], 0))
         transported = prod.WF
     else:
         A = np.concatenate((np.sqrt(lam_prev)[:, None] * V_prev.T, prod.G))
@@ -384,6 +380,7 @@ def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
     if kept is not None and kept[0] == rank_tol:
         return kept[1:]
     links, link_of, V, lam, last, seen = [], [], None, None, None, {}
+    cut = factor_cutoff(rank_tol, model.n)
     with _quiet():
         for k, prod in enumerate(_step_products(model)):
             key, seen = ((V.tobytes(), lam.tobytes()), seen) if prod is last else (None, {})
@@ -391,7 +388,7 @@ def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
             i = seen.get(key)
             if i is None:
                 i = seen[key] = len(links)
-                links.append(_link(V, lam, k, rank_tol, prod))
+                links.append(_link(V, lam, k, cut, prod))
             link_of.append(i)
             # The next input is the link taken here, reused or new.
             V, lam = links[i].V, links[i].lam
@@ -409,7 +406,7 @@ def init(model: DescriptorModel, y0, rank_tol: float = 0.0) -> FilterState:
     """
     y0 = as_rows(y0, 1, model.p, "y_0")[0]
     with _quiet():
-        link = _link(None, None, 0, rank_tol, _products(model, 0))
+        link = _link(None, None, 0, factor_cutoff(rank_tol, model.n), _products(model, 0))
     return FilterState(0, *_apply(link, np.zeros(model.n), 0.0, y0), link.V, link.lam, rank_tol)
 
 
@@ -433,7 +430,8 @@ def step(state: FilterState, model: DescriptorModel, y) -> FilterState:
         raise DimensionMismatch(f"step {k} is beyond the model horizon {model.tau}")
     y = as_rows(y, 1, model.p, f"y_{k}")[0]
     with _quiet():
-        link = _link(state.V, state.lam, k, state.rank_tol, _products(model, k))
+        link = _link(state.V, state.lam, k, factor_cutoff(state.rank_tol, model.n),
+                     _products(model, k))
     return FilterState(k, *_apply(link, state.r, state.alpha, y), link.V, link.lam, state.rank_tol)
 
 

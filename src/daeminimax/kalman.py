@@ -14,6 +14,8 @@ H_k'R_k y_k.  Its loop keeps only the work that depends on P.
 :func:`kalman_init` and :func:`kalman_step` form the same terms for
 their one step, regularity included (on a one-step slice), and go
 through the same arithmetic, so the two routes agree bit for bit.
+Every route refuses a weight that Cholesky rejects (``model.weight_runs``),
+and inv(S_k) is inv(W) inv(W)' of the factor W'W = S_k.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown, SingularMatrix
-from .linalg import as_rows, numerical_rank, symmetrize, weight_factors
-from .model import DescriptorModel, per_run, step_changes, step_runs
+from .linalg import as_rows, numerical_rank, symmetrize
+from .model import DescriptorModel, per_run, step_changes, step_runs, weight_runs
 
 __all__ = ["KalmanState", "check_regularity", "kalman_init", "kalman_step", "run_kalman"]
 
@@ -65,27 +67,13 @@ def _inv(mat: np.ndarray, what: str) -> np.ndarray:
         raise SingularMatrix(f"{what} is numerically singular") from exc
 
 
-def _weight_inverses(S: np.ndarray, first: int) -> tuple:
-    """``model.per_run`` of inv over S_first..S_tau: inv(S_k) is
-    ``inverses[run_of[k - first]]``.  A weight ``linalg.weight_factors``
-    rejects raises SingularMatrix naming its run; an accepted one on which
-    LU meets an exact zero pivot takes inv(W) inv(W)', W'W = S_k."""
-    (W, accepted, starts), run_of = per_run(lambda S: (*weight_factors(S), S), S[first:])
-    if not accepted.all():
-        runs = step_runs(np.insert(step_changes(S[first:]), 0, np.ones(first, bool)))[first:]
-        raise SingularMatrix(f"S_{runs[accepted.argmin()][1]} is numerically singular")
-    try:
-        return np.linalg.inv(starts), run_of
-    except np.linalg.LinAlgError:
-        pass
-    inverses = np.empty_like(starts)
-    for i, (weight, factor) in enumerate(zip(starts, W)):
-        try:
-            inverses[i] = np.linalg.inv(weight)
-        except np.linalg.LinAlgError:
-            root = np.linalg.inv(factor)
-            inverses[i] = root @ root.T
-    return inverses, run_of
+def _weight_inverses(model: DescriptorModel, first: int, last: int) -> tuple:
+    """``(inverses, run_of)``: inv(S_k) = inv(W) inv(W)' is ``inverses[run_of[k - first]]``
+    for k = first..last, from ``model.weight_runs``, which refuses a rejected S_k or R_k."""
+    Wt, run_of = weight_runs(model.S[:last + 1], "S", first)
+    weight_runs(model.R[:last + 1], "R", first)
+    root = np.linalg.inv(Wt.mT)
+    return root @ root.mT, run_of
 
 
 def _finite(mat: np.ndarray, k: int, what: str) -> np.ndarray:
@@ -121,6 +109,8 @@ def _advance(state: KalmanState, F: np.ndarray, C: np.ndarray, S_inv: np.ndarray
 def kalman_init(model: DescriptorModel, y0, rank_tol: float = 0.0) -> KalmanState:
     """Filtered state at k = 0: inv(P_{0|0}) = F_0' S_0 F_0 + H_0' R_0 H_0."""
     _require_regular(model, 0, rank_tol)
+    for seq, name in zip((model.S, model.R), "SR"):
+        weight_runs(seq[:1], name)
     y0 = as_rows(y0, 1, model.p, "y_0")[0]
     H0, R0 = model.H[0], model.R[0]
     return _first(model.F[0], model.S[0], H0.T @ R0 @ H0, H0.T @ (R0 @ y0))
@@ -141,7 +131,7 @@ def kalman_step(state: KalmanState, model: DescriptorModel, y, rank_tol: float =
     if k > model.tau:
         raise DimensionMismatch(f"step {k} is beyond the model horizon {model.tau}")
     _require_regular(model, k, rank_tol)
-    S_inv = _weight_inverses(model.S[:k + 1], k)[0][0]
+    S_inv = _weight_inverses(model, k, k)[0][0]
     y = as_rows(y, 1, model.p, f"y_{k}")[0]
     H, R = model.H[k], model.R[k]
     return _advance(state, model.F[k], model.C[k - 1], S_inv, H.T @ R @ H, H.T @ (R @ y))
@@ -153,7 +143,7 @@ def run_kalman(model: DescriptorModel, ys, rank_tol: float = 0.0) -> list:
     The work that depends on the model alone comes first, in stacked
     calls: regularity, from :func:`check_regularity` (a model irregular at
     any step raises SingularMatrix naming the runs of irregular steps);
-    inv(S_k) once per run of equal S_k, refusing a weight Cholesky rejects;
+    inv(S_k) once per run of equal S_k, refusing a rejected S_k or R_k;
     H_k'R_k H_k once per run of equal (H_k, R_k); and H_k'R_k y_k.  The
     loop then does only the work that depends on P, through the arithmetic
     of :func:`kalman_step`.
@@ -163,11 +153,11 @@ def run_kalman(model: DescriptorModel, ys, rank_tol: float = 0.0) -> list:
     if not all(flags):
         bad = ", ".join(run for k, run in step_runs(step_changes(flags)) if not flags[k])
         raise SingularMatrix(f"regularity violated at steps [{bad}]: rank [F_k; H_k] < n")
-    S_inv, run_S = _weight_inverses(model.S, 1)
+    S_inv, run_S = _weight_inverses(model, 0, model.tau)
     HtRH, run_HR = per_run(lambda H, R: H.mT @ R @ H, model.H, model.R)
     HtRy = np.matvec(model.H.mT, np.matvec(model.R, ys))
     states = [_first(model.F[0], model.S[0], HtRH[run_HR[0]], HtRy[0])]
     for k in range(1, model.tau + 1):
-        states.append(_advance(states[-1], model.F[k], model.C[k - 1], S_inv[run_S[k - 1]],
+        states.append(_advance(states[-1], model.F[k], model.C[k - 1], S_inv[run_S[k]],
                                HtRH[run_HR[k]], HtRy[k]))
     return states

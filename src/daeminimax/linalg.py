@@ -28,7 +28,6 @@ __all__ = [
     "weight_factors",
     "pinv",
     "numerical_rank",
-    "sym_rank",
     "range_projector",
     "symmetrize",
     "qform",
@@ -115,30 +114,27 @@ def kept_count(s: np.ndarray, cut: float):
 
 
 def weight_factors(S: np.ndarray) -> tuple:
-    """``(W, accepted)`` for a (T, m, m) stack of symmetric weights: W'W = S
-    for each matrix, and whether Cholesky accepted it, the package's one
-    test that a weight is positive definite.  W is the transposed Cholesky
-    factor, or diag(sqrt(clipped eigenvalues)) V' for a rejected weight.
+    """``(W, accepted)`` for a (T, m, m) stack of symmetric weights: whether
+    Cholesky accepted each matrix, the package's one test that a weight is
+    positive definite, and W'W = S for each accepted one, W the transposed
+    Cholesky factor.  A rejected matrix gets only its flag (and zeros in W).
 
     One stacked Cholesky call; it raises when any matrix fails, and then
-    each matrix is factored alone, so only those that fail take the
-    eigen-factor.  W is the transposed view of a C-contiguous stack of W',
-    the layout of ``cholesky(S_i).T``, so products with it make the BLAS
-    calls of a single matrix's factor.
+    each matrix is factored alone.  W is the transposed view of a
+    C-contiguous stack of W', the layout of ``cholesky(S_i).T``, so
+    products with it make the BLAS calls of a single matrix's factor.
     """
     accepted = np.ones(len(S), dtype=bool)
     try:
         return np.linalg.cholesky(S).mT, accepted
     except np.linalg.LinAlgError:
         pass
-    Wt = np.empty_like(S)
+    Wt = np.zeros_like(S)
     for i, weight in enumerate(S):
         try:
             Wt[i] = np.linalg.cholesky(weight)
         except np.linalg.LinAlgError:
             accepted[i] = False
-            eigs, vecs = np.linalg.eigh(weight)
-            Wt[i] = vecs * np.sqrt(np.clip(eigs, 0.0, None))
     return Wt.mT, accepted
 
 
@@ -173,14 +169,6 @@ def numerical_rank(a, rank_tol: float = 0.0):
     matrices, decided in one stacked call with each matrix's own cutoff."""
     m = np.asarray(a, dtype=float) if np.ndim(a) == 3 else as_matrix(a)
     return kept_count(np.linalg.svd(m, compute_uv=False), relative_cutoff(rank_tol, m.shape[-2:]))
-
-
-def sym_rank(a, rank_tol: float = 0.0) -> int:
-    """Numerical rank of a square symmetric matrix."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"sym_rank needs a square matrix, got {m.shape}")
-    return numerical_rank(m, rank_tol)
 
 
 def range_projector(a, rank_tol: float = 0.0) -> np.ndarray:

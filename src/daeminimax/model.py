@@ -14,7 +14,8 @@ F need not be square or invertible, so the recursion may pin down only
 part of the next state; simulation takes an explicit free component to
 select one trajectory out of the affine solution set at each step.
 Work that depends on the model alone is done once per run of equal
-steps (:func:`per_run`).
+steps (:func:`per_run`).  Every route refuses (:func:`weight_runs`),
+and :func:`validate` reports, a weight that LAPACK's Cholesky rejects.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InconsistentDynamics
+from .errors import DimensionMismatch, InconsistentDynamics, SingularMatrix
 from .linalg import as_rows, pinv, qform, weight_factors
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "step_changes",
     "per_run",
     "step_runs",
+    "weight_runs",
     "Trajectory",
     "ValidationReport",
     "validate",
@@ -113,6 +115,18 @@ def step_runs(changes) -> list:
     starts = np.flatnonzero(changes).tolist()
     ends = [end - 1 for end in starts[1:]] + [len(changes) - 1]
     return [(a, str(a) if a == b else f"{a}..{b}") for a, b in zip(starts, ends)]
+
+
+def weight_runs(S, name: str, first: int = 0) -> tuple:
+    """``(Wt, run_of)``: :func:`per_run` of ``linalg.weight_factors`` over
+    S[first:], the one way a route factors a weight; ``Wt[run_of[k - first]]``
+    is the C-contiguous W' of S_k, W'W = S_k.  A weight that Cholesky rejects
+    raises SingularMatrix naming its run: ``{name}_2..3 is numerically singular``."""
+    (W, accepted), run_of = per_run(weight_factors, S[first:])
+    if not accepted.all():
+        runs = step_runs(np.insert(step_changes(S[first:]), 0, np.ones(first, bool)))[first:]
+        raise SingularMatrix(f"{name}_{runs[accepted.argmin()][1]} is numerically singular")
+    return W.mT, run_of
 
 
 @dataclass(frozen=True)

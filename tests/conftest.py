@@ -12,8 +12,8 @@ import warnings
 import numpy as np
 
 from daeminimax import estimator
-from daeminimax.errors import NumericalBreakdown
-from daeminimax.linalg import numerical_rank
+from daeminimax.errors import DimensionMismatch, NumericalBreakdown
+from daeminimax.linalg import as_matrix, numerical_rank
 from daeminimax.model import DescriptorModel, budget
 
 # Eigenvalue band treated as "gray": directions with information in this
@@ -30,8 +30,8 @@ GRAY_CUTOFF_MARGIN = 0.05
 GRAY_HIGH = 1e-5
 
 # A weight that Cholesky rejects although its smallest eigenvalue is
-# 7.5e-17 > 0: validate refuses it, and a library call on an unvalidated
-# model takes the eigen-factor of ``linalg.weight_factors``.
+# 7.5e-17 > 0: validate refuses it, and so does every library route on an
+# unvalidated model (``model.weight_runs``).
 CHOLESKY_REJECTED_WEIGHT = np.array([
     [0.6775286921397962, 0.0645164888856857, -1.2707611296467278],
     [0.0645164888856857, 0.07602325651304703, -0.26691964495471],
@@ -43,6 +43,15 @@ LU_SINGULAR_WEIGHT = np.array([
     [0.03646453603287805, -0.18060460125770547, -0.05016821415248019],
     [-0.18060460125770547, 0.8945136086894162, 0.24847734416383754],
     [-0.05016821415248019, 0.24847734416383754, 0.06902185843998357]])
+
+
+def sym_rank(a, rank_tol: float = 0.0) -> int:
+    """Numerical rank of a square symmetric matrix: the dense oracle that
+    tests hold rank decisions of the factored recursion against."""
+    m = as_matrix(a)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"sym_rank needs a square matrix, got {m.shape}")
+    return numerical_rank(m, rank_tol)
 
 
 def random_psd_weight(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -18,10 +18,11 @@ from conftest import (
     random_measurements,
     random_model,
     random_regular_model,
+    sym_rank,
     well_conditioned_instance,
 )
 from daeminimax import batch, demo, estimator, kalman
-from daeminimax.linalg import numerical_rank, pinv, range_projector, sym_rank
+from daeminimax.linalg import numerical_rank, pinv, range_projector
 
 _shared = {}
 

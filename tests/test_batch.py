@@ -10,7 +10,7 @@ import pytest
 from conftest import (CHOLESKY_REJECTED_WEIGHT, dense_operators, feasible_data, random_measurements,
                       random_model, random_regular_model)
 from daeminimax import batch, demo, estimator
-from daeminimax.errors import DimensionMismatch
+from daeminimax.errors import DimensionMismatch, SingularMatrix
 from daeminimax.model import DescriptorModel, truncate
 
 
@@ -214,19 +214,16 @@ def test_assemble_holds_little_beside_the_weighted_stack():
     assert peak <= 1.1 * problem.M.nbytes
 
 
-def test_solve_takes_the_eigen_factor_of_a_weight_cholesky_rejects():
-    # validate refuses this weight, but the library takes it unvalidated:
-    # its dense block-diagonal Cholesky factor used to end the solve in a
-    # LinAlgError.
+@pytest.mark.parametrize("steps, run", [((0, 1, 2, 3), "0..3"), ((2,), "2")],
+                         ids=["every-step", "one-step"])
+def test_assemble_refuses_a_weight_cholesky_rejects(steps, run):
+    # validate refuses this weight, and so does assemble on an unvalidated
+    # model, naming the run of steps that holds it.
     eye = np.eye(3)
-    model = DescriptorModel.constant(eye, eye, [[1.0, 0.0, 0.0]], CHOLESKY_REJECTED_WEIGHT,
-                                     [[1.0]], tau=3)
-    prob = batch.assemble(model, np.array([[0.1], [0.2], [0.0], [-0.1]]))
-    W1 = prob.M[:3, :3]  # step 0's factor times F_0 = I
-    assert np.allclose(W1.T @ W1, CHOLESKY_REJECTED_WEIGHT, atol=1e-14)
-    sol = batch.solve(prob)
-    assert sol.minI == pytest.approx(batch.objective(prob, sol.xstack), abs=1e-15)
-    assert batch.decomposition_check(prob, sol, np.ones(12)) <= 1e-9
+    S = [CHOLESKY_REJECTED_WEIGHT if k in steps else eye for k in range(4)]
+    model = DescriptorModel.constant(eye, eye, [[1.0, 0.0, 0.0]], S, [[1.0]], tau=3)
+    with pytest.raises(SingularMatrix, match=rf"^S_{run} is numerically singular$"):
+        batch.assemble(model, np.array([[0.1], [0.2], [0.0], [-0.1]]))
 
 
 @pytest.mark.parametrize("draw", [lambda rng: random_regular_model(rng, n=3, tau=12),

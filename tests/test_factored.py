@@ -24,10 +24,12 @@ from conftest import (
     random_model,
     random_psd_weight,
     random_regular_model,
+    sym_rank,
     well_conditioned_instance,
 )
 from daeminimax import batch, cli, estimator, formats, kalman
-from daeminimax.linalg import EPS, pinv, qform, range_projector, sym_rank, symmetrize
+from daeminimax.errors import SingularMatrix
+from daeminimax.linalg import EPS, factor_cutoff, pinv, qform, range_projector, symmetrize
 from daeminimax.model import DescriptorModel, step_changes, truncate, validate
 
 FACTORIZATIONS = ("cholesky", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
@@ -93,18 +95,19 @@ def test_step_makes_at_most_four_factorizations(factorizations):
         assert sum(factorizations.values()) <= 4, dict(factorizations)
 
 
-def test_step_accepts_semidefinite_weight():
-    # S = diag(1, 0) has no Cholesky factor; the step falls back to its
-    # eigendecomposition and still matches the literal update formula.
+def test_step_refuses_a_semidefinite_weight():
+    # S = diag(1, 0) has no Cholesky factor: init refuses it as S_0, and
+    # step refuses it as S_1 after an accepted S_0.
     rng = np.random.default_rng(44)
     F, C, H = rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), rng.normal(size=(1, 2))
     S = np.diag([1.0, 0.0])
     model = DescriptorModel.constant(F, C, H, S, np.eye(1), tau=1)
+    with pytest.raises(SingularMatrix, match=r"^S_0 is numerically singular$"):
+        estimator.init(model, np.array([0.3]))
+    model = DescriptorModel.constant(F, C, H, [np.eye(2), S], np.eye(1), tau=1)
     s0 = estimator.init(model, np.array([0.3]))
-    s1 = estimator.step(s0, model, np.array([0.2]))
-    B = s0.P + C.T @ S @ C
-    literal = H.T @ H + F.T @ (S - S @ C @ pinv(B) @ C.T @ S) @ F
-    assert np.allclose(s1.P, literal, atol=1e-12)
+    with pytest.raises(SingularMatrix, match=r"^S_1 is numerically singular$"):
+        estimator.step(s0, model, np.array([0.2]))
 
 
 def test_validate_checks_each_distinct_weight_once(factorizations):
@@ -121,7 +124,7 @@ def test_validate_takes_an_eigenvalue_only_of_a_rejected_weight(factorizations):
     bad = DescriptorModel.from_sequences(model.F, model.C, model.H, model.S,
                                          [-Rk if k == 4 else Rk for k, Rk in enumerate(model.R)])
     assert validate(bad).issues[0].startswith("R_4 not positive definite")
-    assert factorizations["eigvalsh"] == 1
+    assert factorizations["eigvalsh"] == 1 and factorizations["eigh"] == 0
 
 
 def test_validate_reports_a_shared_bad_weight_under_every_name():
@@ -375,7 +378,8 @@ def _chained_links(model):
     links, V, lam = [], None, None
     with estimator._quiet():
         for k in range(model.tau + 1):
-            links.append(estimator._link(V, lam, k, 0.0, estimator._products(model, k)))
+            links.append(estimator._link(V, lam, k, factor_cutoff(0.0, model.n),
+                                         estimator._products(model, k)))
             V, lam = links[-1].V, links[-1].lam
     return links
 
@@ -452,18 +456,9 @@ def test_schedule_factors_a_repeated_weight_once(factorizations, factored):
     assert factorizations["cholesky"] == 2
 
 
-def _factor_of_one(S):
-    """W'W = S as one weight alone is factored: Cholesky, else the eigen-factor."""
-    try:
-        return np.linalg.cholesky(S).T
-    except np.linalg.LinAlgError:
-        eigs, vecs = np.linalg.eigh(S)
-        return np.sqrt(np.clip(eigs, 0.0, None))[:, None] * vecs.T
-
-
 def _products_of_one_step(model, k):
     """WF, G, QH and HtR of step k by the arithmetic of that step alone."""
-    W, Q = _factor_of_one(model.S[k]), _factor_of_one(model.R[k])
+    W, Q = np.linalg.cholesky(model.S[k]).T, np.linalg.cholesky(model.R[k]).T
     G = W @ model.C[k - 1] if k else np.zeros((model.m, model.n))
     return W @ model.F[k], G, Q @ model.H[k], model.H[k].T @ model.R[k]
 
@@ -492,14 +487,24 @@ def test_step_products_match_the_arithmetic_of_each_step(kind, monkeypatch, fact
     # equal weights cross block boundaries.
     monkeypatch.setattr(estimator, "_STACK_ELEMENTS", 4 * 34)
     model = _weight_runs_model(kind)
+    runs_S = np.count_nonzero(step_changes(model.S))
+    if kind == "rejected":
+        # The arithmetic of each of steps 10..13 refuses its S_k, and the
+        # products of all steps refuse the run by name: the stacked call
+        # over the runs of S fails, each run is factored once more alone,
+        # and no R is factored.
+        for k in range(10, 14):
+            with pytest.raises(SingularMatrix, match=f"^S_{k} is numerically singular$"):
+                estimator._products(model, k)
+        factored.clear()
+        with pytest.raises(SingularMatrix, match=r"^S_10\.\.13 is numerically singular$"):
+            next(estimator._step_products(model))
+        assert factored == Counter(cholesky=2 * runs_S)
+        return
     prods = list(estimator._step_products(model))
-    runs = np.count_nonzero(step_changes(model.S)) + np.count_nonzero(step_changes(model.R))
-    # A weight field takes one stacked call over all its runs.  With the
-    # rejected weight that call fails, and each run of S is factored alone,
-    # the rejected one by its eigen-factor.
-    runs += np.count_nonzero(step_changes(model.S)) if kind == "rejected" else 0
-    assert factored["cholesky"] == runs
-    assert factored["eigh"] == (kind == "rejected")
+    # A weight field takes one stacked call over all its runs.
+    assert factored["cholesky"] == runs_S + np.count_nonzero(step_changes(model.R))
+    assert factored["eigh"] == 0
     assert len(prods) == model.tau + 1
     for k, prod in enumerate(prods):
         for got, want in zip(prod, _products_of_one_step(model, k), strict=False):
@@ -529,15 +534,20 @@ def test_step_products_are_computed_in_bounded_blocks(monkeypatch):
 def test_batch_factors_each_run_of_equal_weights_once_per_command(kind, factored):
     model = _weight_runs_model(kind, tau=16)
     ys = np.random.default_rng(64).normal(size=(17, 1))
+    runs_S = np.count_nonzero(step_changes(model.S))
+    if kind == "rejected":
+        # The stacked call over the runs of S fails, each run is tried once
+        # more alone, and the rejected run is refused by name.
+        with pytest.raises(SingularMatrix, match=r"^S_10\.\.13 is numerically singular$"):
+            batch.assemble(model, ys)
+        assert factored == Counter(cholesky=2 * runs_S)
+        return
     whole = batch.assemble(model, ys)
-    runs = np.count_nonzero(step_changes(model.S)) + np.count_nonzero(step_changes(model.R))
-    # A stacked call that holds the rejected weight fails, and its weights
-    # are tried once more a matrix at a time.
-    runs += np.count_nonzero(step_changes(model.S)) if kind == "rejected" else 0
+    runs = runs_S + np.count_nonzero(step_changes(model.R))
     assert factored["cholesky"] == runs
     for k in range(model.tau + 1):
         batch.solve(batch.leading(whole, k))
-    assert factored["cholesky"] == runs and factored["eigh"] == (kind == "rejected")
+    assert factored["cholesky"] == runs and factored["eigh"] == 0
     assert factored["lstsq"] == model.tau + 1
 
 

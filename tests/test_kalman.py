@@ -197,29 +197,62 @@ def test_run_kalman_names_a_singular_transition_weight():
         kalman.kalman_step(state, model, [1.0])
 
 
-def _weight_model(S):
-    """n = m = 3, p = 1, tau = 3, regular, with the constant weight S."""
+def _weight_model(S, R=None):
+    """n = m = 3, tau = 3, regular: the weight S, and R = 1 with p = 1 or
+    the weight R with H = I; each weight one matrix or one for every step."""
     eye = np.eye(3)
-    return DescriptorModel.constant(eye, eye, [[1.0, 0.0, 0.0]], S, [[1.0]], tau=3)
+    H, R = ([[1.0, 0.0, 0.0]], [[1.0]]) if R is None else (eye, R)
+    return DescriptorModel.constant(eye, eye, H, S, R, tau=3)
 
 
-def _kalman_refusals(model) -> list:
-    """Whether run_kalman and kalman_step, each, refuse S_1 of the model."""
-    calls = {"S_1..3": lambda: kalman.run_kalman(model, np.zeros((4, 1))),
-             "S_1": lambda: kalman.kalman_step(kalman.kalman_init(model, [0.0]), model, [0.0])}
-    refusals = []
+# The routes that factor the weights of steps 0..3, of step 0 and of step 1.
+WHOLE = ("schedule", "run", "assemble", "run_kalman")
+FIRST = ("init", "kalman_init")
+SECOND = ("step", "kalman_step")
+
+
+def _refusals(model) -> dict:
+    """The message with which each route refuses a weight of ``model``, or
+    None where it refuses none; step 1 starts from a state of full rank.
+    Past an accepted weight near singular, the Kalman reference may still
+    find a later matrix singular, which is no weight's refusal."""
+    ys = np.zeros((model.tau + 1, model.p))
+    state = estimator.FilterState(0, np.zeros(3), 0.0, np.eye(3), np.ones(3), 0.0)
+    kstate = kalman.KalmanState(k=0, P=np.eye(3), x=np.zeros(3))
+    calls = {"schedule": lambda: estimator.schedule(model),
+             "run": lambda: estimator.run(model, ys),
+             "assemble": lambda: batch.assemble(model, ys),
+             "run_kalman": lambda: kalman.run_kalman(model, ys),
+             "init": lambda: estimator.init(model, ys[0]),
+             "kalman_init": lambda: kalman.kalman_init(model, ys[0]),
+             "step": lambda: estimator.step(state, model, ys[1]),
+             "kalman_step": lambda: kalman.kalman_step(kstate, model, ys[1])}
+    refusals = {}
     for name, call in calls.items():
         try:
             call()
         except SingularMatrix as exc:
-            refusals.append(str(exc) == f"{name} is numerically singular")
+            refusals[name] = str(exc) if str(exc)[:2] in ("S_", "R_") else None
         else:
-            refusals.append(False)
+            refusals[name] = None
     return refusals
 
 
+def _refused(field: str, run: str, second: bool) -> dict:
+    """:func:`_refusals` of a model whose ``field`` weight Cholesky rejects
+    on the run of steps ``run`` from step 0, and at step 1 when ``second``."""
+    def message(steps):
+        return f"{field}_{steps} is numerically singular"
+
+    return {**dict.fromkeys(WHOLE, message(run)), **dict.fromkeys(FIRST, message(0)),
+            **dict.fromkeys(SECOND, message(1) if second else None)}
+
+
 def test_kalman_refuses_the_weight_cholesky_rejects():
-    assert _kalman_refusals(_weight_model(CHOLESKY_REJECTED_WEIGHT)) == [True, True]
+    refusals = _refusals(_weight_model(CHOLESKY_REJECTED_WEIGHT))
+    assert [refusals[name] for name in ("run_kalman", "kalman_init", "kalman_step")] == [
+        "S_0..3 is numerically singular", "S_0 is numerically singular",
+        "S_1 is numerically singular"]
 
 
 def test_kalman_inverts_a_weight_cholesky_accepts_where_lu_fails():
@@ -237,25 +270,35 @@ def test_kalman_inverts_a_weight_cholesky_accepts_where_lu_fails():
         assert got.P.tobytes() == state.P.tobytes() and got.x.tobytes() == state.x.tobytes()
     # inv(S) = inv(W) inv(W)' for the Cholesky factor W'W = S.
     root = np.linalg.inv(np.linalg.cholesky(LU_SINGULAR_WEIGHT).T)
-    assert np.array_equal(kalman._weight_inverses(model.S[:3], 2)[0][0], root @ root.T)
+    assert np.array_equal(kalman._weight_inverses(model, 2, 2)[0][0], root @ root.T)
 
 
+# Past a weight near singular, the Kalman reference's information matrix may skew.
+@pytest.mark.filterwarnings("ignore::daeminimax.errors.AsymmetryWarning")
 def test_every_route_makes_the_same_decision_on_graded_weights():
     # Weights with eigenvalues 1, 10^(-e/2) and 10^(-e) in random
-    # directions: at these grades Cholesky accepts some and rejects others,
-    # and each route must decide each weight alike.
+    # directions: at these grades Cholesky accepts some and rejects others.
+    # Held as a constant S, as a constant R or as S_0 alone, each weight
+    # must be decided alike by validate and by every route.
     rng = np.random.default_rng(1)
+    eye = np.eye(3)
     decisions = []
     for grade in (16, 17, 18):
         for _ in range(30):
             Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
             S = (Q * [1.0, 10.0 ** (-grade / 2), 10.0 ** -grade]) @ Q.T
             S = 0.5 * (S + S.T)
-            model = _weight_model(S)
             accepted = bool(weight_factors(S[None])[1][0])
-            W1 = batch.assemble(model, np.zeros((4, 1))).M[:3, :3]  # step 0's factor, F_0 = I
-            cholesky = accepted and np.array_equal(W1, np.linalg.cholesky(S).T)
-            assert validate(model).ok == accepted == cholesky
-            assert _kalman_refusals(model) == [not accepted] * 2
+            cases = [(_weight_model(S), ("S", "0..3", True)),
+                     (_weight_model(eye, S), ("R", "0..3", True)),
+                     (_weight_model([S, eye, eye, eye]), ("S", "0", False))]
+            for model, rejection in cases:
+                assert validate(model).ok == accepted
+                want = dict.fromkeys(WHOLE + FIRST + SECOND) if accepted else _refused(*rejection)
+                assert _refusals(model) == want
+            if accepted:
+                model = cases[0][0]
+                W1 = batch.assemble(model, np.zeros((4, 1))).M[:3, :3]  # step 0's factor, F_0 = I
+                assert np.array_equal(W1, np.linalg.cholesky(S).T)
             decisions.append(accepted)
     assert 0 < sum(decisions) < len(decisions)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CHOLESKY_REJECTED_WEIGHT, random_psd_weight
+from conftest import CHOLESKY_REJECTED_WEIGHT, random_psd_weight, sym_rank
 from daeminimax.errors import DimensionMismatch, InvalidMatrix
 from daeminimax.linalg import (
     EPS,
@@ -19,7 +19,6 @@ from daeminimax.linalg import (
     qform,
     range_projector,
     relative_cutoff,
-    sym_rank,
     symmetrize,
     weight_factors,
 )
@@ -197,11 +196,6 @@ def test_eps_constant_matches_float64():
     assert EPS == np.finfo(np.float64).eps
 
 
-def _eigen_factor(S):
-    eigs, vecs = np.linalg.eigh(S)
-    return np.sqrt(np.clip(eigs, 0.0, None))[:, None] * vecs.T
-
-
 def test_weight_factors_are_each_matrix_cholesky_factor_bit_for_bit():
     rng = np.random.default_rng(60)
     S = np.stack([random_psd_weight(rng, 3) for _ in range(5)])
@@ -212,7 +206,7 @@ def test_weight_factors_are_each_matrix_cholesky_factor_bit_for_bit():
         assert Wk.tobytes() == want.tobytes() and Wk.strides == want.strides
 
 
-def test_weight_factors_take_the_eigen_factor_for_one_rejected_weight(monkeypatch):
+def test_weight_factors_flag_one_rejected_weight_and_take_no_eigen_factor(monkeypatch):
     rng = np.random.default_rng(61)
     S = np.stack([random_psd_weight(rng, 3), CHOLESKY_REJECTED_WEIGHT, random_psd_weight(rng, 3)])
     with pytest.raises(np.linalg.LinAlgError):
@@ -221,11 +215,11 @@ def test_weight_factors_take_the_eigen_factor_for_one_rejected_weight(monkeypatc
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
     W, accepted = weight_factors(S)
     assert accepted.tolist() == [True, False, True]
-    assert len(calls) == 1
-    wants = [np.linalg.cholesky(S[0]).T, _eigen_factor(S[1]), np.linalg.cholesky(S[2]).T]
+    assert calls == []
+    # The accepted weights keep their Cholesky factors; the rejected one gets zeros.
+    wants = [np.linalg.cholesky(S[0]).T, np.zeros((3, 3)).T, np.linalg.cholesky(S[2]).T]
     for Wk, want in zip(W, wants):
         assert Wk.tobytes() == want.tobytes() and Wk.strides == want.strides
-    assert np.allclose(W[1].T @ W[1], S[1], atol=1e-14)
 
 
 def test_kept_count_of_a_stack_counts_each_vector_alone():

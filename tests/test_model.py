@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import feasible_data, random_model
+from conftest import CHOLESKY_REJECTED_WEIGHT, feasible_data, random_model, random_psd_weight
 from daeminimax import demo, model as model_module
-from daeminimax.errors import DimensionMismatch, EstimationError, InconsistentDynamics
+from daeminimax.errors import DimensionMismatch, EstimationError, InconsistentDynamics, SingularMatrix
 from daeminimax.linalg import pinv
 from daeminimax.model import (
     DescriptorModel,
@@ -17,6 +17,7 @@ from daeminimax.model import (
     step_runs,
     truncate,
     validate,
+    weight_runs,
 )
 
 
@@ -221,6 +222,24 @@ def test_per_run_matches_each_step_bit_for_bit(kind):
     for k in range(6):
         alone = fn(*(field[k:k + 1] for field in fields))[0]
         assert values[run_of[k]].tobytes() == alone.tobytes()
+
+
+def test_weight_runs_factor_each_run_once_and_refuse_a_rejected_run():
+    rng = np.random.default_rng(67)
+    a, b = random_psd_weight(rng, 3), random_psd_weight(rng, 3)
+    S = np.stack([a, a, b, b, b, a])
+    Wt, run_of = weight_runs(S, "S")
+    assert run_of.tolist() == [0, 0, 1, 1, 1, 2] and Wt.flags.c_contiguous
+    for k in range(6):
+        assert Wt[run_of[k]].tobytes() == np.linalg.cholesky(S[k]).tobytes()
+    # From step 2 on, the runs are b b b and a.
+    assert weight_runs(S, "S", 2)[1].tolist() == [0, 0, 0, 1]
+    # A rejected weight is refused by the name of its run, from step first on.
+    S[2:5] = CHOLESKY_REJECTED_WEIGHT
+    for first, run in ((0, "2..4"), (3, "3..4"), (4, "4")):
+        with pytest.raises(SingularMatrix, match=rf"^R_{run} is numerically singular$"):
+            weight_runs(S, "R", first)
+    assert weight_runs(S, "S", 5)[1].tolist() == [0]
 
 
 def test_simulate_rejects_inconsistent_dynamics():
