@@ -29,8 +29,8 @@ once, and ``link_of``, the index of each step's link: the kept eigenpairs
 square-root information form: P_k is never formed, only a factor Z_k
 with P_k = Z_k'Z_k (see :func:`_link`).  Each run of equal weights is
 factored once per model (``model.weight_runs``), and the products of the
-factors with the model's matrices are computed in stacked calls over
-blocks of steps (:func:`_step_products`).
+factors with the model's matrices are computed once per step that
+changes, in the one walk over the steps (:func:`_products`).
 On a time-invariant model a link depends only on the previous step's
 eigenpairs, which recur exactly, so a recurring input reuses its link.
 The data pass maps (r, alpha) through the links and factorizes nothing;
@@ -224,7 +224,7 @@ class _Products(NamedTuple):
 
     With W'W = S_k and Q'Q = R_k (``model.weight_runs``): WF = W F_k,
     G = W C_{k-1} (zeros at k = 0, where no link reads it), QH = Q H_k,
-    HtR = H_k'R_k.  For a stack of steps each has a leading step axis.
+    HtR = H_k'R_k.
     """
 
     WF: np.ndarray
@@ -234,50 +234,12 @@ class _Products(NamedTuple):
     R: np.ndarray
 
 
-def _stacked_products(model: DescriptorModel, k: np.ndarray, W: np.ndarray,
-                      Q: np.ndarray) -> _Products:
-    """The products of the ascending steps ``k`` (an index array), one
-    stacked matmul each, from the (T, m, m) and (T, p, p) factors W and Q
-    of their weights.  A stacked matmul makes each step's BLAS call alone,
-    so every step's products equal its products on a stack of one."""
+def _products(model: DescriptorModel, k: int, W: np.ndarray, Q: np.ndarray) -> _Products:
+    """Step k's products from the factors W'W = S_k and Q'Q = R_k."""
     F, H, R = model.F[k], model.H[k], model.R[k]
     WF = W @ F
-    G = np.zeros_like(WF)
-    late = k > 0
-    if late.any():  # a model of horizon 0 may have C of any shape
-        G[late] = W[late] @ model.C[k[late] - 1]
-    return _Products(WF, G, Q @ H, H.mT @ R, R)
-
-
-def _products(model: DescriptorModel, k: int) -> _Products:
-    """Step k's products: :func:`_stacked_products` on a stack of one step."""
-    W, Q = (weight_runs(seq[:k + 1], name, k)[0].mT for seq, name in zip((model.S, model.R), "SR"))
-    return _Products(*(a[0] for a in _stacked_products(model, np.array([k]), W, Q)))
-
-
-def _step_products(model: DescriptorModel):
-    """Each step's :class:`_Products`, in order, one object for a run of
-    steps none of whose matrices F_k, C_{k-1}, H_k, S_k, R_k changes.  The
-    steps with a change are taken in blocks of at most _STACK_ELEMENTS
-    product elements through :func:`_stacked_products`, and each run of
-    equal weights is factored once, in one stacked call per weight field
-    (``model.weight_runs``).  One block's products are held at a time; only
-    the HtR and R that links keep outlive it."""
-    changes = np.array([step_changes(model.F), np.insert(step_changes(model.C), 0, True),
-                        step_changes(model.H), step_changes(model.S), step_changes(model.R)])
-    new = np.flatnonzero(changes.any(axis=0))
-    counts = np.diff(new, append=model.tau + 1).tolist()
-    Wt, run_S = weight_runs(model.S, "S")
-    Qt, run_R = weight_runs(model.R, "R")
-    m, n, p = model.m, model.n, model.p
-    size = max(1, _STACK_ELEMENTS // (m * (m + 2 * n) + p * (p + 2 * n)))
-    for at in range(0, new.size, size):
-        k = new[at:at + size]
-        block = _stacked_products(model, k, Wt[run_S[k]].mT, Qt[run_R[k]].mT)
-        for i, count in enumerate(counts[at:at + size]):
-            prod = _Products(*(a[i] for a in block))
-            for _ in range(count):
-                yield prod
+    G = W @ model.C[k - 1] if k else np.zeros_like(WF)
+    return _Products(WF, G, Q @ H, H.T @ R, R)
 
 
 def _quiet():
@@ -362,29 +324,36 @@ def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
     """``(links, link_of)``: the distinct links of steps 0..tau, which depend
     on the model alone, and the read-only (tau+1,) index of each step's link.
 
-    The products of every step come from :func:`_step_products`, in
-    stacked calls over blocks of steps: a step whose matrices all repeat
-    the step before's bit for bit (see ``model.step_changes``) reuses its
-    products, and each run of equal weights is factored once.  While the
-    products stay the same, a link is a function of its input
-    (V_{k-1}, lam_{k-1}) alone, and in floating point that input falls
-    into an exact cycle; so a step whose input recurs bit for bit reuses
-    the link that input produced before, and a time-invariant model
-    factorizes each distinct input once.  When the products change the
-    table of inputs is dropped and no key is computed, so a time-varying
-    model pays nothing for it.  The model keeps its last schedule, so a
-    second call with the same ``rank_tol`` factorizes nothing; the
-    model's matrices are read-only, so the kept schedule cannot go stale.
+    One walk over the steps.  Each run of equal weights is factored once
+    (``model.weight_runs``), and a step computes its :func:`_products`
+    only where one of F_k, C_{k-1}, H_k, S_k, R_k differs bit for bit from
+    the step before's (see ``model.step_changes``); so one step's products
+    are held at a time.  While the products stay the same, a link is a
+    function of its input (V_{k-1}, lam_{k-1}) alone, and in floating
+    point that input falls into an exact cycle; so a step whose input
+    recurs bit for bit reuses the link that input produced before, and a
+    time-invariant model factorizes each distinct input once.  A step
+    that computes products drops the table of inputs and computes no key,
+    so a time-varying model pays nothing for it.  The model keeps its last
+    schedule, so a second call with the same ``rank_tol`` factorizes
+    nothing; the model's matrices are read-only, so the kept schedule
+    cannot go stale.
     """
     kept = model._schedule
     if kept is not None and kept[0] == rank_tol:
         return kept[1:]
-    links, link_of, V, lam, last, seen = [], [], None, None, None, {}
+    changes = np.array([step_changes(model.F), np.insert(step_changes(model.C), 0, True),
+                        step_changes(model.H), step_changes(model.S), step_changes(model.R)])
+    links, link_of, V, lam = [], [], None, None
     cut = factor_cutoff(rank_tol, model.n)
     with _quiet():
-        for k, prod in enumerate(_step_products(model)):
-            key, seen = ((V.tobytes(), lam.tobytes()), seen) if prod is last else (None, {})
-            last = prod
+        Wt, run_S = weight_runs(model.S, "S")
+        Qt, run_R = weight_runs(model.R, "R")
+        for k, new in enumerate(changes.any(axis=0).tolist()):
+            if new:
+                prod, key, seen = _products(model, k, Wt[run_S[k]].T, Qt[run_R[k]].T), None, {}
+            else:
+                key = (V.tobytes(), lam.tobytes())
             i = seen.get(key)
             if i is None:
                 i = seen[key] = len(links)
@@ -398,6 +367,16 @@ def schedule(model: DescriptorModel, rank_tol: float = 0.0) -> tuple:
     return links, link_of
 
 
+def _step_link(model: DescriptorModel, k: int, V_prev, lam_prev, rank_tol: float) -> Link:
+    """Step k's link from P_{k-1}'s kept eigenpairs, with step k's weights
+    factored alone (``model.weight_runs`` on the steps up to k)."""
+    W, Q = (weight_runs(seq[:k + 1], name, k)[0][0].T
+            for seq, name in zip((model.S, model.R), "SR"))
+    with _quiet():
+        return _link(V_prev, lam_prev, k, factor_cutoff(rank_tol, model.n),
+                     _products(model, k, W, Q))
+
+
 def init(model: DescriptorModel, y0, rank_tol: float = 0.0) -> FilterState:
     """State of the recursion after absorbing the k = 0 data.
 
@@ -405,8 +384,7 @@ def init(model: DescriptorModel, y0, rank_tol: float = 0.0) -> FilterState:
     alpha_0 = <R_0 y_0, y_0>, at the cutoff ``rank_tol`` of the whole chain.
     """
     y0 = as_rows(y0, 1, model.p, "y_0")[0]
-    with _quiet():
-        link = _link(None, None, 0, factor_cutoff(rank_tol, model.n), _products(model, 0))
+    link = _step_link(model, 0, None, None, rank_tol)
     return FilterState(0, *_apply(link, np.zeros(model.n), 0.0, y0), link.V, link.lam, rank_tol)
 
 
@@ -429,9 +407,7 @@ def step(state: FilterState, model: DescriptorModel, y) -> FilterState:
     if k > model.tau:
         raise DimensionMismatch(f"step {k} is beyond the model horizon {model.tau}")
     y = as_rows(y, 1, model.p, f"y_{k}")[0]
-    with _quiet():
-        link = _link(state.V, state.lam, k, factor_cutoff(state.rank_tol, model.n),
-                     _products(model, k))
+    link = _step_link(model, k, state.V, state.lam, state.rank_tol)
     return FilterState(k, *_apply(link, state.r, state.alpha, y), link.V, link.lam, state.rank_tol)
 
 

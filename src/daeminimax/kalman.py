@@ -15,7 +15,10 @@ H_k'R_k y_k.  Its loop keeps only the work that depends on P.
 their one step, regularity included (on a one-step slice), and go
 through the same arithmetic, so the two routes agree bit for bit.
 Every route refuses a weight that Cholesky rejects (``model.weight_runs``),
-and inv(S_k) is inv(W) inv(W)' of the factor W'W = S_k.
+and inv(S_k) is inv(W) inv(W)' of the factor W'W = S_k.  Only regularity
+and the weights raise SingularMatrix: past them, a gain or information
+matrix that overflows or that ``inv`` finds numerically singular ends the
+run with a NumericalBreakdown naming its step.
 """
 
 from __future__ import annotations
@@ -60,13 +63,6 @@ def _require_regular(model: DescriptorModel, k: int, rank_tol: float) -> None:
         )
 
 
-def _inv(mat: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.inv(mat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"{what} is numerically singular") from exc
-
-
 def _weight_inverses(model: DescriptorModel, first: int, last: int) -> tuple:
     """``(inverses, run_of)``: inv(S_k) = inv(W) inv(W)' is ``inverses[run_of[k - first]]``
     for k = first..last, from ``model.weight_runs``, which refuses a rejected S_k or R_k."""
@@ -76,18 +72,24 @@ def _weight_inverses(model: DescriptorModel, first: int, last: int) -> tuple:
     return root @ root.mT, run_of
 
 
-def _finite(mat: np.ndarray, k: int, what: str) -> np.ndarray:
-    """``mat``, or a breakdown naming step k if its products overflowed."""
+def _inverse(mat: np.ndarray, k: int, what: str, symmetric) -> np.ndarray:
+    """inv(symmetric(mat)), or a breakdown naming step k where the products
+    in ``mat`` overflowed or ``inv`` finds it numerically singular.  Past the
+    checks of regularity and of the weights, either is roundoff, not a
+    property of the model."""
     if not np.isfinite(mat).all():
         raise NumericalBreakdown(f"step {k}: the {what} overflows")
-    return mat
+    try:
+        return np.linalg.inv(symmetric(mat))
+    except np.linalg.LinAlgError:
+        raise NumericalBreakdown(f"step {k}: the {what} is numerically singular") from None
 
 
 def _first(F: np.ndarray, S: np.ndarray, HtRH: np.ndarray, HtRy: np.ndarray) -> KalmanState:
     """The filtered state at k = 0 from step 0's terms H_0'R_0 H_0 and H_0'R_0 y_0."""
     with np.errstate(over="ignore", invalid="ignore"):
-        info = _finite(F.T @ S @ F + HtRH, 0, "information matrix")
-    P = _inv(symmetrize(info), "information matrix at k=0")
+        info = F.T @ S @ F + HtRH
+    P = _inverse(info, 0, "information matrix", symmetrize)
     return KalmanState(k=0, P=0.5 * (P + P.T), x=P @ HtRy)
 
 
@@ -98,10 +100,10 @@ def _advance(state: KalmanState, F: np.ndarray, C: np.ndarray, S_inv: np.ndarray
     goes through ``linalg.symmetrize``, which warns of a large skew."""
     k = state.k + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        gain = _finite(S_inv + C @ state.P @ C.T, k, "gain matrix")
-        A = _inv(0.5 * (gain + gain.T), f"gain matrix at k={k}")
-        info = _finite(F.T @ A @ F + HtRH, k, "information matrix")
-    P = _inv(symmetrize(info), f"information matrix at k={k}")
+        gain = S_inv + C @ state.P @ C.T
+        A = _inverse(gain, k, "gain matrix", lambda g: 0.5 * (g + g.T))
+        info = F.T @ A @ F + HtRH
+    P = _inverse(info, k, "information matrix", symmetrize)
     P = 0.5 * (P + P.T)
     return KalmanState(k=k, P=P, x=P @ (F.T @ (A @ (C @ state.x)) + HtRy))
 

@@ -49,7 +49,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """
     try:
         m = np.asarray(a, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise InvalidMatrix(f"{name}: not interpretable as a numeric array") from exc
     if m.ndim != 2:
         raise InvalidMatrix(f"{name}: expected a 2-D array, got ndim={m.ndim}")
@@ -63,7 +63,7 @@ def as_vector(a, name: str = "vector", size: int | None = None) -> np.ndarray:
     of length ``size``, when given."""
     try:
         v = np.atleast_1d(np.asarray(a, dtype=float))
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise InvalidMatrix(f"{name}: not interpretable as a numeric array") from exc
     if v.ndim != 1:
         raise InvalidMatrix(f"{name}: expected a 1-D array, got ndim={v.ndim}")
@@ -82,7 +82,7 @@ def as_rows(a, count: int, width: int, name: str = "rows") -> np.ndarray:
     """
     try:
         m = np.atleast_2d(np.asarray(a, dtype=float))
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise InvalidMatrix(f"{name}: not interpretable as a numeric array") from exc
     if m.shape[0] == 1 and width == 1 and count > 1:
         m = m.reshape(-1, 1)

@@ -11,6 +11,7 @@ import pytest
 from conftest import CHOLESKY_REJECTED_WEIGHT, feasible_data, random_model
 from daeminimax import batch, cli, demo, errors, estimator, kalman
 from daeminimax.formats import load_model_file, measurement_rows, read_table, write_table
+from daeminimax.model import validate
 
 
 def write_json(path, doc):
@@ -510,6 +511,33 @@ def test_compare_kalman_names_runs_of_irregular_steps(tmp_path, capsys, doc, ste
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: regularity violated at steps [{steps}]: rank [F_k; H_k] < n\n"
+
+
+# Cholesky accepts this weight (eigenvalues near 1, 1e-8 and 7e-17), and
+# with F = C = I, H = [1 0 0] the model is regular, yet inv rejects the
+# Kalman reference's gain matrix at step 1.
+SINGULAR_GAIN_WEIGHT = [
+    [0.5994265438304082, -0.011830940304745598, 0.4898718108410314],
+    [-0.011830940304745598, 0.0002335181071837424, -0.009668650264706837],
+    [0.4898718108410314, -0.009668650264706837, 0.4003399480624082]]
+
+
+def test_compare_kalman_singular_gain_is_a_breakdown(tmp_path, capsys):
+    eye = np.eye(3).tolist()
+    doc = {"n": 3, "m": 3, "p": 1, "tau": 3, "F": eye, "C": eye, "H": [[1.0, 0.0, 0.0]],
+           "S": SINGULAR_GAIN_WEIGHT, "R": [[1.0]]}
+    spec = write_json(tmp_path / "model.json", doc)
+    ys = tmp_path / "ys.csv"
+    write_table(ys, ["k", "y0"], [[k, 0.0] for k in range(4)])
+    model, _ = load_model_file(spec)
+    assert validate(model).ok and all(kalman.check_regularity(model))
+    files = ["--spec", spec, "--measurements", str(ys)]
+    assert cli.main(["compare", *files, "--mode", "batch"]) == 0
+    capsys.readouterr()
+    # Past regularity and the weights, a singular gain is a breakdown (exit
+    # 1), not a regularity violation (exit 5).
+    assert cli.main(["compare", *files, "--mode", "kalman"]) == 1
+    assert capsys.readouterr().err == "error: step 1: the gain matrix is numerically singular\n"
 
 
 def test_reproduce_example_names_runs_of_the_noncausality_index(tmp_path, capsys):

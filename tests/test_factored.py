@@ -378,8 +378,9 @@ def _chained_links(model):
     links, V, lam = [], None, None
     with estimator._quiet():
         for k in range(model.tau + 1):
+            W, Q = np.linalg.cholesky(model.S[k]).T, np.linalg.cholesky(model.R[k]).T
             links.append(estimator._link(V, lam, k, factor_cutoff(0.0, model.n),
-                                         estimator._products(model, k)))
+                                         estimator._products(model, k, W, Q)))
             V, lam = links[-1].V, links[-1].lam
     return links
 
@@ -483,51 +484,43 @@ def _weight_runs_model(kind, tau=30):
 
 @pytest.mark.parametrize("kind", ["constant", "time-varying", "switching", "rejected"])
 def test_step_products_match_the_arithmetic_of_each_step(kind, monkeypatch, factored):
-    # Blocks of 4 steps (3 * 9 + 1 * 7 = 34 elements a step), so runs of
-    # equal weights cross block boundaries.
-    monkeypatch.setattr(estimator, "_STACK_ELEMENTS", 4 * 34)
     model = _weight_runs_model(kind)
     runs_S = np.count_nonzero(step_changes(model.S))
     if kind == "rejected":
-        # The arithmetic of each of steps 10..13 refuses its S_k, and the
-        # products of all steps refuse the run by name: the stacked call
-        # over the runs of S fails, each run is factored once more alone,
-        # and no R is factored.
+        # The one-step factors of each of steps 10..13 refuse its S_k, and
+        # the schedule refuses the run by name: the stacked call over the
+        # runs of S fails, each run is factored once more alone, and no R
+        # is factored.
         for k in range(10, 14):
+            state = estimator.FilterState(k - 1, np.zeros(3), 0.0, np.eye(3), np.ones(3), 0.0)
             with pytest.raises(SingularMatrix, match=f"^S_{k} is numerically singular$"):
-                estimator._products(model, k)
+                estimator.step(state, model, [0.0])
         factored.clear()
         with pytest.raises(SingularMatrix, match=r"^S_10\.\.13 is numerically singular$"):
-            next(estimator._step_products(model))
+            estimator.schedule(model)
         assert factored == Counter(cholesky=2 * runs_S)
         return
-    prods = list(estimator._step_products(model))
+    products, calls = estimator._products, []
+
+    def recorded(model, k, W, Q):
+        calls.append((k, products(model, k, W, Q)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(estimator, "_products", recorded)
+    estimator.schedule(model)
+    # Products are made once at each step where F_k, C_{k-1}, H_k, S_k or
+    # R_k changes, in order, and nowhere else.
+    changes = np.array([step_changes(model.F), np.insert(step_changes(model.C), 0, True),
+                        step_changes(model.H), step_changes(model.S), step_changes(model.R)])
+    assert [k for k, _ in calls] == np.flatnonzero(changes.any(axis=0)).tolist()
+    # On a constant model, only step 0 and step 1 (the first to read C_0).
+    assert kind != "constant" or len(calls) == 2
     # A weight field takes one stacked call over all its runs.
     assert factored["cholesky"] == runs_S + np.count_nonzero(step_changes(model.R))
     assert factored["eigh"] == 0
-    assert len(prods) == model.tau + 1
-    for k, prod in enumerate(prods):
+    for k, prod in calls:
         for got, want in zip(prod, _products_of_one_step(model, k), strict=False):
             assert got.tobytes() == want.tobytes()
-
-
-def test_step_products_are_computed_in_bounded_blocks(monkeypatch):
-    model = _weight_runs_model("time-varying", tau=40)
-    monkeypatch.setattr(estimator, "_STACK_ELEMENTS", 10 * 34)
-    stacked, sizes = estimator._stacked_products, []
-
-    def recorded(model, k, W, Q):
-        sizes.append(k.size)
-        return stacked(model, k, W, Q)
-
-    monkeypatch.setattr(estimator, "_stacked_products", recorded)
-    assert len(list(estimator._step_products(model))) == 41
-    assert sizes == [10, 10, 10, 10, 1]
-    # A step larger than the bound makes blocks of one step.
-    monkeypatch.setattr(estimator, "_STACK_ELEMENTS", 1)
-    sizes.clear()
-    list(estimator._step_products(model))
-    assert sizes == [1] * 41
 
 
 @pytest.mark.parametrize("kind", ["constant", "switching", "rejected"])

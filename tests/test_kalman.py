@@ -6,7 +6,7 @@ import pytest
 from conftest import (CHOLESKY_REJECTED_WEIGHT, LU_SINGULAR_WEIGHT, random_measurements,
                       random_regular_model)
 from daeminimax import batch, estimator, kalman
-from daeminimax.errors import DimensionMismatch, InvalidMatrix, SingularMatrix
+from daeminimax.errors import DimensionMismatch, InvalidMatrix, NumericalBreakdown, SingularMatrix
 from daeminimax.linalg import pinv, weight_factors
 from daeminimax.model import DescriptorModel, validate
 
@@ -214,8 +214,8 @@ SECOND = ("step", "kalman_step")
 def _refusals(model) -> dict:
     """The message with which each route refuses a weight of ``model``, or
     None where it refuses none; step 1 starts from a state of full rank.
-    Past an accepted weight near singular, the Kalman reference may still
-    find a later matrix singular, which is no weight's refusal."""
+    Past an accepted weight near singular, the Kalman reference may break
+    down, which is no refusal, but never raises SingularMatrix."""
     ys = np.zeros((model.tau + 1, model.p))
     state = estimator.FilterState(0, np.zeros(3), 0.0, np.eye(3), np.ones(3), 0.0)
     kstate = kalman.KalmanState(k=0, P=np.eye(3), x=np.zeros(3))
@@ -227,14 +227,14 @@ def _refusals(model) -> dict:
              "kalman_init": lambda: kalman.kalman_init(model, ys[0]),
              "step": lambda: estimator.step(state, model, ys[1]),
              "kalman_step": lambda: kalman.kalman_step(kstate, model, ys[1])}
-    refusals = {}
+    refusals = dict.fromkeys(calls)
     for name, call in calls.items():
         try:
             call()
         except SingularMatrix as exc:
-            refusals[name] = str(exc) if str(exc)[:2] in ("S_", "R_") else None
-        else:
-            refusals[name] = None
+            refusals[name] = str(exc)
+        except NumericalBreakdown:
+            pass
     return refusals
 
 

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import CHOLESKY_REJECTED_WEIGHT, random_psd_weight, sym_rank
+from daeminimax import estimator
 from daeminimax.errors import DimensionMismatch, InvalidMatrix
 from daeminimax.linalg import (
     EPS,
     AsymmetryWarning,
     as_matrix,
+    as_rows,
     as_vector,
     factor_cutoff,
     kept_count,
@@ -140,6 +142,18 @@ def test_as_vector_rejects_bad_input():
         as_vector(np.array([[1.0, 2.0]]))
     with pytest.raises(InvalidMatrix):
         as_vector(np.array([np.nan]))
+
+
+@pytest.mark.parametrize("coerce", [
+    lambda a: as_matrix([[a, 0.0]]),
+    lambda a: as_vector([a, 0.0]),
+    lambda a: as_rows([a, 0.0], 1, 2),
+    lambda a: estimator.ell_error(
+        estimator.FilterState(0, np.zeros(2), 0.0, np.eye(2), np.ones(2), 0.0), [a, 0.0]),
+], ids=["as_matrix", "as_vector", "as_rows", "ell_error"])
+def test_an_entry_beyond_the_float_range_is_an_invalid_matrix(coerce):
+    with pytest.raises(InvalidMatrix, match="not interpretable as a numeric array"):
+        coerce(10**400)
 
 
 @pytest.mark.parametrize("rank_tol", [-1.0, np.nan, np.inf])
